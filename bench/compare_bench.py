@@ -112,6 +112,11 @@ SCALING_INVARIANTS = [
 OVERHEAD_INVARIANTS = [
     ("BM_MetricsOverhead/metrics:0", "BM_MetricsOverhead/metrics:1",
      0.05),
+    # Batched >= serial, no slack: a block of accesses runs the same
+    # single-access kernel as the facade's serial path plus a set-index
+    # and prefetch prologue, so the batched facade must not lose to one
+    # access() per address.
+    ("BM_TalusFacadeAccess", "BM_TalusBatchedAccess", 0.0),
 ]
 
 
@@ -165,8 +170,8 @@ def check_scaling(curr, skip):
 
 
 def check_overhead(curr):
-    """Bounded overhead: instrumented rows must stay near the
-    uninstrumented rows. Returns violated (off, on, ratio, budget)
+    """Bounded overhead: each row must stay near (or above) its
+    reference row. Returns violated (off, on, ratio, budget)
     tuples; pairs with absent rows are ignored (the tracked-benchmark
     missing check covers deletions)."""
     failures = []
@@ -242,7 +247,7 @@ def main():
                   f"(threaded dispatch must not lose to inline)")
         for off_name, on_name, ratio, budget in overhead_failures:
             print(f"  {on_name}: {ratio:.3f}x of {off_name} "
-                  f"(instrumentation budget {budget:.0%})")
+                  f"(budget {budget:.0%})")
         return 1
     print(f"\nOK: no tracked benchmark regressed more than "
           f"{args.threshold:.0%}; scaling and overhead invariants "

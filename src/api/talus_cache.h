@@ -232,12 +232,13 @@ class TalusCache
      * but structured as two passes per chunk: a monitor pass (fused
      * H3 hashing + early sampling rejection over the whole chunk)
      * followed by an access pass (router hashes evaluated in a block,
-     * then the partitioned cache's batched entry point — a
-     * devirtualized fused kernel under Vantage+LRU). Monitors and the
-     * cache share no state within a chunk, and chunks split exactly
-     * at reconfiguration/epoch boundaries, so every observation point
-     * sees bit-identical state. This is the fast path the
-     * trace-replay sims and the sharded engine use.
+     * then the partitioned cache's batched entry point — under
+     * Vantage+LRU, a set-index and prefetch prologue plus a loop
+     * over the fused single-access kernel access() runs). Monitors
+     * and the cache share no state within a chunk, and chunks split
+     * exactly at reconfiguration/epoch boundaries, so every
+     * observation point sees bit-identical state. This is the fast
+     * path the trace-replay sims and the sharded engine use.
      *
      * @return Number of hits in the block.
      */

@@ -31,12 +31,9 @@ class CacheStats
     /** Records an eviction of a valid line. */
     void recordEviction() { evictions_++; }
 
-    /** Folds @p n evictions accumulated by a batch kernel. */
-    void addEvictions(uint64_t n) { evictions_ += n; }
-
     /**
      * Grows the per-partition counters to @p n slots up front, so a
-     * batch kernel can record through raw pointers without the
+     * fused kernel can record through raw pointers without the
      * per-access resize check. Counters for untouched slots stay 0,
      * exactly as the lazy path reports for never-seen partitions.
      */
@@ -48,7 +45,7 @@ class CacheStats
         }
     }
 
-    /** Raw counter arrays for batch kernels; valid for the slots
+    /** Raw counter arrays for the fused kernel; valid for the slots
      *  covered by the latest ensureParts() and invalidated by it. */
     uint64_t* accessesRaw() { return accesses_.data(); }
     uint64_t* hitsRaw() { return hits_.data(); }

@@ -56,8 +56,8 @@ class SetAssocCache
     /**
      * Tag stored by invalid lines. The cache maintains the invariant
      * "valid_[line] == 0 implies tags_[line] == kInvalidTag", which
-     * lets batch kernels probe and find invalid ways with a single
-     * scan of the tag array. Accesses to this address are rejected
+     * lets the fused kernel verify a probe against the tag alone,
+     * without reading the valid array. Accesses to this address are rejected
      * (it is not a representable line address: it would alias the
      * sentinel once inserted).
      */
@@ -123,7 +123,7 @@ class SetAssocCache
     uint64_t mutationEpoch() const { return mutationEpoch_; }
 
     /**
-     * Mutable raw view over the line arrays for fused batch kernels
+     * Mutable raw view over the line arrays for the fused kernel
      * (SchemePartitionedCache). A kernel using it must preserve the
      * same invariants access() does: valid lines carry their tag and
      * owning partition, and every scheme/policy counter it bypasses

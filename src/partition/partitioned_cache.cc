@@ -10,7 +10,6 @@
 #include "partition/way_partition.h"
 #include "policy/lru.h"
 #include "policy/policy_factory.h"
-#include "util/bits.h"
 #include "util/log.h"
 
 namespace talus {
@@ -22,7 +21,7 @@ SchemePartitionedCache::SchemePartitionedCache(
 {
     talus_assert(cache_.scheme() != nullptr,
                  "SchemePartitionedCache requires a scheme");
-    // The fused batch kernel replicates the exact per-access semantics
+    // The fused kernel replicates the exact per-access semantics
     // of VantageScheme over plain LRU, so it is only safe when the
     // scheme is VantageScheme (which keeps the default whole-cache set
     // index) and the policy is exactly LruPolicy — a derived policy
@@ -51,7 +50,7 @@ SchemePartitionedCache::accessBatchRouted(const Addr* addrs,
                                           const PartId* parts, uint64_t n)
 {
     if (fusedLru_ != nullptr)
-        return fusedBatch(addrs, parts, n, 0);
+        return fusedBlock(addrs, parts, n, 0);
     uint64_t hits = 0;
     for (uint64_t i = 0; i < n; ++i)
         hits += cache_.access(addrs[i], parts[i]);
@@ -63,7 +62,7 @@ SchemePartitionedCache::accessBatchUniform(const Addr* addrs, uint64_t n,
                                            PartId part)
 {
     if (fusedLru_ != nullptr)
-        return fusedBatch(addrs, nullptr, n, part);
+        return fusedBlock(addrs, nullptr, n, part);
     uint64_t hits = 0;
     for (uint64_t i = 0; i < n; ++i)
         hits += cache_.access(addrs[i], part);
@@ -105,14 +104,8 @@ SchemePartitionedCache::rebuildMasks()
     ctx_.lparts = la.parts;
     ctx_.stamps = fusedLru_->stampsRaw();
     ctx_.clock = fusedLru_->clockRaw();
-    recipTargets_.assign(nparts, 0.0);
-    for (uint32_t p = 0; p < nparts; ++p)
-        if (bk.targets[p] != 0)
-            recipTargets_[p] =
-                1.0 / static_cast<double>(bk.targets[p]);
     ctx_.occ = bk.occ;
     ctx_.targets = bk.targets;
-    ctx_.recipTargets = recipTargets_.data();
     ctx_.unmanaged = bk.unmanaged;
     ctx_.umk = unmanagedMask_.data();
     ctx_.pmk = partMask_.data();
@@ -129,113 +122,18 @@ SchemePartitionedCache::rebuildMasks()
     maskEpoch_ = cache_.mutationEpoch();
 }
 
-// Dispatch to an AVX2 build of the kernel on hardware that has it:
-// the way scans and set-index precompute vectorize well past SSE2,
-// and integer SIMD plus scalar-identical double math keep the result
-// bit-exact across clones.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-__attribute__((target_clones("default", "arch=x86-64-v3")))
-#endif
 uint64_t
-SchemePartitionedCache::fusedBatch(const Addr* addrs, const PartId* route,
+SchemePartitionedCache::fusedBlock(const Addr* addrs, const PartId* route,
                                    uint64_t n, PartId upart)
 {
-    // One devirtualized loop replicating SetAssocCache::access over
-    // VantageScheme + LruPolicy, in the exact operation order of the
-    // generic path (probe -> stats -> stamp -> promote/victim ->
-    // evict bookkeeping -> insert -> demote). Every counter the
-    // generic path's virtual hooks would touch is updated inline, so
-    // the final state after any prefix of the block is bit-identical
-    // — tests/multiprog_equivalence_test.cc holds the generic path up
-    // against this one access by access.
     if (maskEpoch_ != cache_.mutationEpoch())
         rebuildMasks();
     const FusedCtx& c = ctx_;
-    const uint32_t ways = c.ways;
-    const uint32_t sets = c.sets;
-    const bool sets_pow2 = c.setsPow2;
-    const uint32_t set_mask = c.setMask;
-    const bool hashed = c.hashed;
-    const uint64_t hash_seed = c.hashSeed;
-    Addr* tags = c.tags;
-    uint8_t* valid = c.valid;
-    PartId* lparts = c.lparts;
-    uint64_t* stamps = c.stamps;
-    uint64_t* clock = c.clock;
-    uint64_t clk = *clock;
-    const VantageScheme::Books bk = {c.occ, c.targets, c.unmanaged};
-    const double* recip = c.recipTargets;
-    const uint32_t nparts = c.nparts;
-    uint64_t* acc_raw = c.accRaw;
-    uint64_t* hit_raw = c.hitRaw;
-    uint64_t* umk = c.umk;
-    uint64_t* pmk = c.pmk;
-    uint64_t hits = 0;
-    uint64_t evictions = 0;
-
-    // Branchless LRU argmin over the ways selected by mask @p m in the
-    // set at @p sb (set * ways). The LRU clock stamps every touch with
-    // a fresh ++clk, so stamps are unique and the minimum needs no
-    // way-order tie-break: packing (stamp << 6) | way turns the walk
-    // into a pure min-reduction the compiler vectorizes, instead of a
-    // loop-carried ctz chain. Excluded ways get a sentinel above any
-    // real key (stamps stay far below 2^57 for any feasible run).
-    // Callers guarantee m != 0. The ways==16 specialization exists
-    // because a constant trip count is what actually unlocks the
-    // vectorizer; the generic loop is the same code with a runtime
-    // bound.
-    const auto argminStamp = [&](uint32_t sb, uint64_t m) -> uint32_t {
-        uint64_t best = ~0ull;
-        if (ways == 16) {
-            for (uint32_t w = 0; w < 16; ++w) {
-                const uint64_t excl =
-                    -(((m >> w) & 1) ^ 1ull); // all-ones if excluded
-                const uint64_t key =
-                    ((stamps[sb + w] << 6) | w) | excl;
-                best = key < best ? key : best;
-            }
-        } else {
-            for (uint32_t w = 0; w < ways; ++w) {
-                const uint64_t excl = -(((m >> w) & 1) ^ 1ull);
-                const uint64_t key =
-                    ((stamps[sb + w] << 6) | w) | excl;
-                best = key < best ? key : best;
-            }
-        }
-        return sb + static_cast<uint32_t>(best & 63);
-    };
-
-    // demoteIfOverTarget with the LRU argmin fused in (unique stamps
-    // make the mask-restricted minimum == LruPolicy::victim over
-    // way-ordered candidates).
-    const auto demote = [&](uint32_t inserted, PartId p) {
-        if (bk.occ[p] <= bk.targets[p] || bk.targets[p] == 0)
-            return;
-        const uint32_t dset = inserted / ways;
-        const uint32_t set_base = dset * ways;
-        // Walk only p's ways, minus the just-inserted line.
-        const uint64_t m = pmk[static_cast<size_t>(dset) * nparts + p] &
-                           ~(1ull << (inserted - set_base));
-        if (m == 0)
-            return; // Cannot demote within this set; converges later.
-        const uint32_t demoted = argminStamp(set_base, m);
-        lparts[demoted] = kNoPart;
-        bk.occ[p]--;
-        (*bk.unmanaged)++;
-        pmk[static_cast<size_t>(dset) * nparts + p] &=
-            ~(1ull << (demoted - set_base));
-        umk[dset] |= 1ull << (demoted - set_base);
-    };
-
-    const auto setOf = [&](Addr addr) -> uint32_t {
-        const uint64_t h = hashed ? mix64(addr ^ hash_seed) : addr;
-        return sets_pow2 ? static_cast<uint32_t>(h & set_mask)
-                         : static_cast<uint32_t>(h % sets);
-    };
 
     // For real blocks, precompute all set indices in one tight pass;
-    // the lookahead then prefetches upcoming tag/stamp/mask rows while
-    // earlier accesses resolve. Single-access blocks skip both.
+    // the loop then prefetches the fingerprint row, stamp row and
+    // masks kPf accesses ahead while earlier accesses resolve. Short
+    // blocks skip both.
     constexpr uint64_t kPf = 8;
     uint32_t* setv = nullptr;
     if (n >= kPf) {
@@ -243,158 +141,27 @@ SchemePartitionedCache::fusedBatch(const Addr* addrs, const PartId* route,
             setScratch_.resize(n);
         setv = setScratch_.data();
         for (uint64_t i = 0; i < n; ++i)
-            setv[i] = setOf(addrs[i]);
+            setv[i] = fusedSetOf(addrs[i]);
     }
 
+    uint64_t hits = 0;
     for (uint64_t i = 0; i < n; ++i) {
         if (setv != nullptr && i + kPf < n) {
             const uint32_t ps = setv[i + kPf];
-            const uint32_t pf = ps * ways;
-            __builtin_prefetch(&tags[pf], 0);
-            __builtin_prefetch(&tags[pf + ways - 1], 0);
-            __builtin_prefetch(&stamps[pf], 1);
-            __builtin_prefetch(&stamps[pf + ways - 1], 1);
-            __builtin_prefetch(&lparts[pf], 1);
-            __builtin_prefetch(&umk[ps], 1);
-            __builtin_prefetch(&pmk[static_cast<size_t>(ps) * nparts], 1);
+            const size_t pb = static_cast<size_t>(ps) * c.ways;
+            __builtin_prefetch(&c.fpt[pb], 0);
+            __builtin_prefetch(&c.fpt[pb + c.ways - 1], 0);
+            __builtin_prefetch(&c.stamps[pb], 1);
+            __builtin_prefetch(&c.stamps[pb + c.ways - 1], 1);
+            __builtin_prefetch(&c.umk[ps], 1);
+            __builtin_prefetch(&c.pmk[static_cast<size_t>(ps) * c.nparts],
+                               1);
         }
         const Addr addr = addrs[i];
-        const PartId part = route != nullptr ? route[i] : upart;
-        talus_assert(part < nparts, "bad partition id ", part);
-        talus_assert(addr != SetAssocCache::kInvalidTag,
-                     "address aliases the invalid-tag sentinel");
-        const uint32_t set = setv != nullptr ? setv[i] : setOf(addr);
-        const uint32_t base = set * ways;
-
-        // One branchless pass over the tag row finds both the hit way
-        // and the invalid ways (invalid lines hold kInvalidTag; the
-        // sentinel can't match a real address). Lowest set bit =
-        // first way in way order, exactly the generic scan order.
-        uint64_t m_match = 0;
-        uint64_t m_inval = 0;
-        for (uint32_t w = 0; w < ways; ++w) {
-            const Addr t = tags[base + w];
-            m_match |= static_cast<uint64_t>(t == addr) << w;
-            m_inval |= static_cast<uint64_t>(
-                           t == SetAssocCache::kInvalidTag)
-                       << w;
-        }
-        acc_raw[part]++;
-
-        if (m_match != 0) {
-            const uint32_t hit_line =
-                base + static_cast<uint32_t>(__builtin_ctzll(m_match));
-            hit_raw[part]++;
-            stamps[hit_line] = ++clk;
-            if ((umk[set] >> (hit_line - base)) & 1) {
-                // Promotion: an unmanaged line that hits rejoins the
-                // accessing partition, rebalancing immediately. The
-                // umk bit is exactly "valid and owner == kNoPart"
-                // (hit lines are always valid), so the masks answer
-                // the ownership question without touching lparts.
-                lparts[hit_line] = part;
-                bk.occ[part]++;
-                if (*bk.unmanaged > 0)
-                    (*bk.unmanaged)--;
-                umk[set] &= ~(1ull << (hit_line - base));
-                pmk[static_cast<size_t>(set) * nparts + part] |=
-                    1ull << (hit_line - base);
-                demote(hit_line, part);
-            }
-            hits++;
-            continue;
-        }
-
-        // Miss: invalid way first, else unmanaged LRU, else the LRU
-        // of the most over-target partition in the set. The victim's
-        // owner is implied by which mask selected it (invalid ways
-        // need no eviction bookkeeping at all; umk means kNoPart, a
-        // partition mask means that partition), so the eviction
-        // accounting runs in the selection branch without loading
-        // valid[] or lparts[].
-        uint32_t victim = kBypassLine;
-        if (m_inval != 0) {
-            victim =
-                base + static_cast<uint32_t>(__builtin_ctzll(m_inval));
-        } else {
-            const uint64_t mu = umk[set];
-            if (mu != 0) {
-                victim = argminStamp(base, mu);
-                evictions++;
-                if (*bk.unmanaged > 0)
-                    (*bk.unmanaged)--;
-                umk[set] &= ~(1ull << (victim - base));
-            } else {
-                // The generic path walks ways in order and keeps the
-                // first strictly-greater ratio, i.e. among the parts
-                // tied at the maximum ratio it picks the one whose
-                // first way in this set is earliest. Iterating parts
-                // with that explicit tie-break is equivalent and
-                // touches each present part once instead of each way.
-                PartId worst = kNoPart;
-                double worst_ratio = -1.0;
-                uint32_t worst_first = 64;
-                for (uint32_t q = 0; q < nparts; ++q) {
-                    const uint64_t mq =
-                        pmk[static_cast<size_t>(set) * nparts + q];
-                    if (mq == 0)
-                        continue;
-                    // occ/target via the precomputed reciprocal with
-                    // one FMA correction step (Markstein): with
-                    // r = RN(1/t), q0 = RN(occ*r) and the residual
-                    // e = RN(occ - t*q0) computed exactly by the FMA,
-                    // q0 + e*r rounds to RN(occ/t) for all finite
-                    // inputs — so the scan's comparisons (including
-                    // the occ == target ties this workload hits
-                    // constantly) are bit-identical to the divide the
-                    // generic path performs.
-                    double ratio;
-                    if (bk.targets[q] == 0) {
-                        ratio = 1e18;
-                    } else {
-                        const double occd =
-                            static_cast<double>(bk.occ[q]);
-                        const double t =
-                            static_cast<double>(bk.targets[q]);
-                        const double r = recip[q];
-                        const double q0 = occd * r;
-                        const double e = __builtin_fma(-t, q0, occd);
-                        ratio = __builtin_fma(e, r, q0);
-                    }
-                    const uint32_t first =
-                        static_cast<uint32_t>(__builtin_ctzll(mq));
-                    if (ratio > worst_ratio ||
-                        (ratio == worst_ratio && first < worst_first)) {
-                        worst_ratio = ratio;
-                        worst = q;
-                        worst_first = first;
-                    }
-                }
-                talus_assert(worst != kNoPart,
-                             "set full of foreign lines");
-                victim = argminStamp(
-                    base,
-                    pmk[static_cast<size_t>(set) * nparts + worst]);
-                evictions++;
-                if (bk.occ[worst] > 0)
-                    bk.occ[worst]--;
-                pmk[static_cast<size_t>(set) * nparts + worst] &=
-                    ~(1ull << (victim - base));
-            }
-        }
-
-        const uint64_t vbit = 1ull << (victim - base);
-        tags[victim] = addr;
-        c.fpt[victim] = tagFingerprint(addr);
-        valid[victim] = 1;
-        lparts[victim] = part;
-        stamps[victim] = ++clk;
-        bk.occ[part]++;
-        pmk[static_cast<size_t>(set) * nparts + part] |= vbit;
-        demote(victim, part);
+        hits += accessFused1At(addr, route != nullptr ? route[i] : upart,
+                               setv != nullptr ? setv[i]
+                                               : fusedSetOf(addr));
     }
-    *clock = clk;
-    cache_.stats().addEvictions(evictions);
     return hits;
 }
 

@@ -107,7 +107,7 @@ class PartitionedCacheBase
 
 /**
  * 32-bit fold of a line address, used as a probe fingerprint by the
- * fused kernels: a whole 16-way row of fingerprints fits one cache
+ * fused kernel: a whole 16-way row of fingerprints fits one cache
  * line, so the common probe touches half the lines the full tag row
  * would. Any fold works — a colliding fingerprint only costs a
  * verification load against the canonical tag, never correctness.
@@ -124,15 +124,13 @@ tagFingerprint(Addr a)
 
 #if TALUS_FUSED1_AVX2
 /**
- * AVX2 specializations of the single-access kernel's two 16-way
- * loops. The serial facade inlines accessFused1 into plain-baseline
- * callers, where GCC's auto-vectorizer never fires (unlike the
- * target_clones'd batch kernel), so the hot row scans run ~64 scalar
- * ops each; these hand-written bodies do the same work in a handful
- * of vector ops behind one predictable cpu-support branch. Both are
- * bit-exact with the scalar loops: the probe is pure lane-wise
- * equality, and the argmin reduces unique keys, so the minimum is
- * order-independent.
+ * AVX2 specializations of the fused kernel's two 16-way loops. The
+ * kernel is compiled for the plain x86-64 baseline, where GCC's
+ * auto-vectorizer leaves the row scans at ~64 scalar ops each; these
+ * hand-written bodies do the same work in a handful of vector ops
+ * behind one predictable cpu-support branch. Both are bit-exact with
+ * the scalar loops: the probe is pure lane-wise equality, and the
+ * argmin reduces unique keys, so the minimum is order-independent.
  */
 namespace fused1 {
 
@@ -227,18 +225,24 @@ class SchemePartitionedCache : public PartitionedCacheBase
     /** Underlying cache, for tests and monitors. */
     SetAssocCache& cache() { return cache_; }
 
-    /** True when the fused Vantage+LRU batch kernel is active (the
-     *  scheme is VantageScheme and the policy is exactly LRU). */
+    /** True when the fused Vantage+LRU kernel is active (the scheme
+     *  is VantageScheme and the policy is exactly LRU). */
     bool fusedKernelActive() const { return fusedLru_ != nullptr; }
 
     /**
-     * The single-access specialization of the fused kernel, header-
-     * inline so the TalusCache facade's flattened serial path pays no
-     * out-of-line call for a whole access (monitor sample + route +
-     * this probe run straight-line in the caller). Bit-exact with
-     * fusedBatch(&addr, nullptr, 1, part): the same operations in the
-     * same order, minus the block-only machinery (set precompute,
-     * prefetch lookahead) that is a no-op at n == 1.
+     * One access through the fused Vantage+LRU kernel: a
+     * devirtualized replica of SetAssocCache::access over
+     * VantageScheme + LruPolicy, in the exact operation order of the
+     * generic path (probe -> stats -> stamp -> promote/victim ->
+     * evict bookkeeping -> insert -> demote). Every counter the
+     * generic path's virtual hooks would touch is updated inline, so
+     * the state after each access is bit-identical to the generic
+     * path's — tests/fused_kernel_lockstep_test.cc holds the two up
+     * against each other access by access. Header-inline so the
+     * TalusCache facade's flattened serial path pays no out-of-line
+     * call for a whole access (monitor sample + route + this probe
+     * run straight-line in the caller); the batched entry points run
+     * the same body in a loop (see fusedBlock()).
      *
      * Ownership is derived from the per-set masks instead of the
      * lparts/valid arrays (the struct-of-arrays layout the kernel
@@ -250,6 +254,32 @@ class SchemePartitionedCache : public PartitionedCacheBase
      * see the same state.
      *
      * Caller must check fusedKernelActive() first.
+     */
+    __attribute__((always_inline)) inline bool
+    accessFused1(Addr addr, PartId part)
+    {
+        if (maskEpoch_ != cache_.mutationEpoch())
+            rebuildMasks();
+        return accessFused1At(addr, part, fusedSetOf(addr));
+    }
+
+  private:
+    /** Set index of @p addr: SetAssocCache::defaultSetIndex over the
+     *  geometry captured in ctx_ (VantageScheme keeps the default
+     *  whole-cache index). */
+    __attribute__((always_inline)) inline uint32_t
+    fusedSetOf(Addr addr) const
+    {
+        const FusedCtx& c = ctx_;
+        const uint64_t h = c.hashed ? mix64(addr ^ c.hashSeed) : addr;
+        return c.setsPow2 ? static_cast<uint32_t>(h & c.setMask)
+                          : static_cast<uint32_t>(h % c.sets);
+    }
+
+    /**
+     * The body of accessFused1() for an access whose set index
+     * (fusedSetOf(addr)) is already known. The masks and ctx_ must be
+     * current (maskEpoch_ == the cache's mutation epoch).
      *
      * always_inline because this is the whole point of the flattened
      * facade path: at ~150 statements GCC's inliner judges the body
@@ -257,20 +287,14 @@ class SchemePartitionedCache : public PartitionedCacheBase
      * per-access call overhead the facade flattening removed.
      */
     __attribute__((always_inline)) inline bool
-    accessFused1(Addr addr, PartId part)
+    accessFused1At(Addr addr, PartId part, uint32_t set)
     {
-        if (maskEpoch_ != cache_.mutationEpoch())
-            rebuildMasks();
         const FusedCtx& c = ctx_;
         const uint32_t ways = c.ways;
         const uint32_t nparts = c.nparts;
         talus_assert(part < nparts, "bad partition id ", part);
         talus_assert(addr != SetAssocCache::kInvalidTag,
                      "address aliases the invalid-tag sentinel");
-        const uint64_t h = c.hashed ? mix64(addr ^ c.hashSeed) : addr;
-        const uint32_t set =
-            c.setsPow2 ? static_cast<uint32_t>(h & c.setMask)
-                       : static_cast<uint32_t>(h % c.sets);
         const uint32_t base = set * ways;
         Addr* tags = c.tags;
         uint64_t* stamps = c.stamps;
@@ -320,32 +344,31 @@ class SchemePartitionedCache : public PartitionedCacheBase
         }
         c.accRaw[part]++;
 
-        // Same packed-key branchless argmin as fusedBatch (see the
-        // kernel for the full rationale); m != 0 guaranteed.
+        // Branchless LRU argmin over the ways selected by mask @p m
+        // (m != 0). The LRU clock stamps every touch with a fresh
+        // ++clock, so stamps are unique and the minimum needs no
+        // way-order tie-break: packing (stamp << 6) | way turns the
+        // walk into a pure min-reduction, and the mask-restricted
+        // minimum equals LruPolicy::victim over way-ordered
+        // candidates. Excluded ways get a sentinel above any real key
+        // (stamps stay far below 2^57 for any feasible run).
         const auto argminStamp = [&](uint64_t m) -> uint32_t {
 #if TALUS_FUSED1_AVX2
             if (ways == 16 && fused1::kHaveAvx2)
                 return base + fused1::argminRow16(stamps + base, m);
 #endif
             uint64_t best = ~0ull;
-            if (ways == 16) {
-                for (uint32_t w = 0; w < 16; ++w) {
-                    const uint64_t excl = -(((m >> w) & 1) ^ 1ull);
-                    const uint64_t key =
-                        ((stamps[base + w] << 6) | w) | excl;
-                    best = key < best ? key : best;
-                }
-            } else {
-                for (uint32_t w = 0; w < ways; ++w) {
-                    const uint64_t excl = -(((m >> w) & 1) ^ 1ull);
-                    const uint64_t key =
-                        ((stamps[base + w] << 6) | w) | excl;
-                    best = key < best ? key : best;
-                }
+            for (uint32_t w = 0; w < ways; ++w) {
+                const uint64_t excl = -(((m >> w) & 1) ^ 1ull);
+                const uint64_t key =
+                    ((stamps[base + w] << 6) | w) | excl;
+                best = key < best ? key : best;
             }
             return base + static_cast<uint32_t>(best & 63);
         };
 
+        // VantageScheme::demoteIfOverTarget with the argmin fused in,
+        // walking only p's ways minus the just-inserted line.
         const auto demote = [&](uint32_t inserted, PartId p) {
             if (c.occ[p] <= c.targets[p] || c.targets[p] == 0)
                 return;
@@ -353,7 +376,7 @@ class SchemePartitionedCache : public PartitionedCacheBase
                 pmk[static_cast<size_t>(set) * nparts + p] &
                 ~(1ull << (inserted - base));
             if (m == 0)
-                return;
+                return; // Cannot demote within this set; converges later.
             const uint32_t demoted = argminStamp(m);
             c.lparts[demoted] = kNoPart;
             c.occ[p]--;
@@ -411,16 +434,19 @@ class SchemePartitionedCache : public PartitionedCacheBase
                              ? base + static_cast<uint32_t>(
                                           __builtin_ctzll(mu))
                              : argminStamp(mu);
-                cache_.stats().addEvictions(1);
+                cache_.stats().recordEviction();
                 if (*c.unmanaged > 0)
                     (*c.unmanaged)--;
                 umk[set] &= ~(1ull << (victim - base));
             } else {
-                // The rare set-conflict scan. The plain divide is the
-                // generic path's exact computation (the batched
-                // kernel's FMA-corrected reciprocal rounds
-                // identically); once per conflict miss it costs less
-                // than priming the reciprocal pipeline here would.
+                // The rare set-conflict scan, with the generic path's
+                // exact divide. The generic path walks ways in order
+                // and keeps the first strictly-greater ratio, i.e.
+                // among the parts tied at the maximum ratio it picks
+                // the one whose first way in this set is earliest.
+                // Iterating parts with that explicit tie-break is
+                // equivalent and touches each present part once
+                // instead of each way.
                 PartId worst = kNoPart;
                 double worst_ratio = -1.0;
                 uint32_t worst_first = 64;
@@ -448,7 +474,7 @@ class SchemePartitionedCache : public PartitionedCacheBase
                              "set full of foreign lines");
                 victim = argminStamp(
                     pmk[static_cast<size_t>(set) * nparts + worst]);
-                cache_.stats().addEvictions(1);
+                cache_.stats().recordEviction();
                 if (c.occ[worst] > 0)
                     c.occ[worst]--;
                 pmk[static_cast<size_t>(set) * nparts + worst] &=
@@ -467,16 +493,20 @@ class SchemePartitionedCache : public PartitionedCacheBase
         return false;
     }
 
-  private:
-    /** The fused Vantage+LRU batch kernel: one devirtualized loop
-     *  replicating access() exactly. @p route is per-address
-     *  partitions or nullptr for uniform @p upart. */
-    uint64_t fusedBatch(const Addr* addrs, const PartId* route,
+    /**
+     * The batched entry points' kernel: a loop over accessFused1At().
+     * @p route is per-address partitions, or nullptr for uniform
+     * @p upart. Blocks of at least kPf accesses first precompute
+     * every set index, so the loop can prefetch the rows of the
+     * access kPf ahead while earlier accesses resolve.
+     */
+    uint64_t fusedBlock(const Addr* addrs, const PartId* route,
                         uint64_t n, PartId upart);
 
-    /** Rebuilds the per-set occupancy masks from the line arrays and
-     *  records the cache's mutation epoch. Called lazily by
-     *  fusedBatch when someone mutated lines behind its back. */
+    /** Rebuilds the per-set occupancy masks and the fingerprint
+     *  mirror from the line arrays, recaptures ctx_, and records the
+     *  cache's mutation epoch. Called lazily by the fused kernel when
+     *  someone mutated lines behind its back. */
     void rebuildMasks();
 
     SetAssocCache cache_;
@@ -497,34 +527,21 @@ class SchemePartitionedCache : public PartitionedCacheBase
 
     /**
      * Per-line tagFingerprint() mirror of the tag array (flat line
-     * index, like tags). Probed by accessFused1 and kept in sync by
-     * both kernels' insert paths; rebuilt with the masks whenever the
-     * generic path mutates lines. Fingerprints of invalid lines are
-     * the fold of kInvalidTag — harmless, since every fingerprint
-     * match is verified against the canonical tag.
+     * index, like tags). Probed by the fused kernel and kept in sync
+     * by its insert path; rebuilt with the masks whenever the generic
+     * path mutates lines. Fingerprints of invalid lines are the fold
+     * of kInvalidTag — harmless, since every fingerprint match is
+     * verified against the canonical tag.
      */
     CacheAlignedVec<uint32_t> fpTags_;
     uint64_t maskEpoch_ = ~0ull; //!< Forces the initial rebuild.
     std::vector<uint32_t> setScratch_; //!< Precomputed set indices.
 
     /**
-     * Per-partition reciprocals of the Vantage targets, refreshed by
-     * rebuildMasks() (setTargets() invalidates maskEpoch_, so a stale
-     * reciprocal can never be read). The kernel's worst-partition
-     * scan divides occupancy by target per present partition per
-     * set-conflict miss; with the reciprocal precomputed, the divide
-     * becomes an FMA-corrected multiply (see fusedBatch) that yields
-     * the exact same correctly-rounded quotient. Entries for
-     * zero targets are never read (the scan's sentinel branch fires
-     * first).
-     */
-    std::vector<double> recipTargets_;
-
-    /**
      * Kernel context captured at rebuildMasks() time: every pointer
-     * and geometry field fusedBatch needs, packed so a single-access
-     * call reads one struct instead of chasing through four objects.
-     * All pointers are stable between rebuilds — the paths that could
+     * and geometry field the fused kernel needs, packed so an access
+     * reads one struct instead of chasing through four objects. All
+     * pointers are stable between rebuilds — the paths that could
      * reseat them (generic access, invalidation, setTargets) bump the
      * mutation epoch or invalidate maskEpoch_ directly.
      */
@@ -537,7 +554,6 @@ class SchemePartitionedCache : public PartitionedCacheBase
         uint64_t* clock;
         uint64_t* occ;
         const uint64_t* targets;
-        const double* recipTargets;
         uint64_t* unmanaged;
         uint64_t* umk;
         uint64_t* pmk;

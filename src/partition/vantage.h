@@ -68,7 +68,7 @@ class VantageScheme : public PartitionScheme
     uint64_t unmanagedLines() const { return unmanaged_; }
 
     /**
-     * Raw bookkeeping view for the fused Vantage+LRU batch kernel
+     * Raw bookkeeping view for the fused Vantage+LRU kernel
      * (SchemePartitionedCache), which replicates
      * onInsert/onEvict/onHit/selectVictim inline. Pointers are
      * invalidated by setTargets().

@@ -32,7 +32,7 @@ class LruPolicy : public ReplPolicy
     uint64_t stamp(uint32_t line) const { return stamps_[line]; }
 
     /**
-     * Raw stamp/clock state for the fused Vantage+LRU batch kernel
+     * Raw stamp/clock state for the fused Vantage+LRU kernel
      * (SchemePartitionedCache): the kernel replicates
      * onHit()/onInsert() as stamps[line] = ++clock. Pointers are
      * invalidated by init().

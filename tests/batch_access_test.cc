@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "api/talus.h"
+#include "cache/set_assoc_cache.h"
+#include "partition/vantage.h"
+#include "policy/lru.h"
 #include "util/rng.h"
 
 namespace talus {
@@ -138,34 +142,50 @@ fingerprintCollidingAddrs(uint64_t n, uint64_t working_set,
 
 TEST(BatchAccess, FingerprintProbeMatchesFullTagProbeInLockstep)
 {
-    // The single-access fast path resolves hits through the set
-    // layout's 32-bit fingerprint mirror before verifying the full
-    // tag; the batched fused kernel still probes full 64-bit tags —
-    // the pre-SoA probe. Driving both one address at a time pins the
-    // fingerprint layout to the full-tag probe result at every single
-    // access, not just in aggregate — on a trace engineered so half
-    // the addresses share a fingerprint with a distinct neighbor tag
-    // (a collision may cost a verify, never a different answer).
+    // The facade's single-access fast path resolves hits through the
+    // fused kernel's 32-bit fingerprint mirror before verifying the
+    // full tag; the generic SetAssocCache path probes full 64-bit
+    // tags. Driving both one address at a time pins the fingerprint
+    // layout to the full-tag probe result at every single access, not
+    // just in aggregate — on a trace engineered so half the addresses
+    // share a fingerprint with a distinct neighbor tag (a collision
+    // may cost a verify, never a different answer).
     TalusCache::Config cfg;
     cfg.llcLines = 1024;
     cfg.ways = 16;
     cfg.numParts = 1;
     cfg.allocatorName = "";
     cfg.seed = 13;
+    TalusCache fp_path(cfg); // access(): fingerprint probe.
 
-    TalusCache fp_path(cfg);   // access(): fingerprint probe.
-    TalusCache full_path(cfg); // accessBatch: full-tag probe.
+    // The generic twin of fp_path's physical cache: the geometry,
+    // set-index seed and shadow targets makePartitionedCache and the
+    // controller gave it, driven through the full-tag probe with the
+    // same alpha/beta routing.
+    const PartitionedCacheBase& phys = fp_path.controller()->cache();
+    SetAssocCache::Config gc;
+    gc.numWays = cfg.ways;
+    gc.numSets = static_cast<uint32_t>(cfg.llcLines / cfg.ways);
+    gc.hashSeed = cfg.seed ^ 0x5E7;
+    SetAssocCache full_path(gc, std::make_unique<LruPolicy>(),
+                            std::make_unique<VantageScheme>(2));
+    full_path.setTargets({phys.targetOf(0), phys.targetOf(1)});
+    const ShadowRouter& rt = fp_path.controller()->router(0);
+
     const std::vector<Addr> addrs =
         fingerprintCollidingAddrs(30'000, 2048, 71);
     for (size_t i = 0; i < addrs.size(); ++i) {
         const bool hit = fp_path.access(addrs[i], 0);
-        const uint64_t batch_hit = full_path.accessBatch(
-            Span<const Addr>(&addrs[i], 1), 0);
-        ASSERT_EQ(batch_hit, hit ? 1u : 0u)
+        const PartId shadow =
+            rt.alwaysAlpha() || rt.toAlpha(addrs[i]) ? 0 : 1;
+        const bool full_hit = full_path.access(addrs[i], shadow);
+        ASSERT_EQ(full_hit, hit)
             << "probe divergence at access " << i << " (addr 0x"
             << std::hex << addrs[i] << ")";
     }
-    EXPECT_EQ(fp_path.stats(0).misses, full_path.stats(0).misses);
+    const uint64_t full_hits =
+        full_path.stats().hits(0) + full_path.stats().hits(1);
+    EXPECT_EQ(fp_path.stats(0).misses, addrs.size() - full_hits);
 }
 
 TEST(BatchAccess, FingerprintCollisionsNeverChangeBatchResults)
