@@ -67,6 +67,10 @@ DEFAULT_TRACKED = [
     # the sweep is tracked; the threaded rows depend on core count.
     "BM_ControlPlaneStep",
     "BM_ShardedReconfigure/shards:8/threads:0/real_time",
+    # One reconfiguration as the served path pays it: prepare + apply
+    # + the next access, so work apply defers to the data path (a
+    # kernel rebuild after re-targeting) cannot hide from the gate.
+    "BM_ReconfigureResume",
     # Serving harness (PR 6): the closed-loop driver end to end
     # (scatter, ring dispatch, gather, latency bookkeeping). Inline
     # row only, as above. BM_ServingOpenLoop is deliberately NOT

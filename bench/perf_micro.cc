@@ -555,6 +555,51 @@ BENCHMARK(BM_ShardedReconfigure)
     ->Args({8, 4})
     ->UseRealTime();
 
+/**
+ * What one reconfiguration costs the served path, end to end:
+ * prepareReconfigure() + applyReconfigure() + the next one-access
+ * accessBatch, on a warmed 8192-line, 16-way, 4-partition facade
+ * (the perfbench tenant_churn_parts geometry). BM_ControlPlaneStep
+ * and BM_ShardedReconfigure stop at apply, so they cannot see work
+ * that apply defers to the next access (a kernel mask rebuild would
+ * land there). Every snapshot halves the monitors' counters and an
+ * iteration feeds them one access, so after the first iterations the
+ * curves are nearly flat: hulls have few vertices, and prepare costs
+ * a few microseconds less than on live curves.
+ */
+void
+BM_ReconfigureResume(benchmark::State& state)
+{
+    constexpr uint32_t kParts = 4;
+    TalusCache::Config cc;
+    cc.llcLines = 8192;
+    cc.ways = 16;
+    cc.numParts = kParts;
+    cc.reconfigInterval = 0; // Driven explicitly below.
+    cc.seed = 21;
+    TalusCache cache(cc);
+    // Private 16384-line key space per partition (top address bits).
+    Rng rng(31);
+    std::vector<Addr> addrs[kParts];
+    for (PartId p = 0; p < kParts; ++p) {
+        addrs[p].resize(1 << 15);
+        for (Addr& a : addrs[p])
+            a = (static_cast<Addr>(p) << 40) | rng.below(16384);
+        cache.accessBatch(Span<const Addr>(addrs[p]), p);
+    }
+    size_t i = 0;
+    for (auto _ : state) {
+        cache.prepareReconfigure();
+        cache.applyReconfigure();
+        const PartId p = static_cast<PartId>(i % kParts);
+        benchmark::DoNotOptimize(cache.accessBatch(
+            Span<const Addr>(&addrs[p][i & ((1 << 15) - 1)], 1), p));
+        ++i;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReconfigureResume);
+
 /** The per-reconfiguration software work: hull + configuration. */
 void
 BM_ReconfigurationMath(benchmark::State& state)

@@ -21,8 +21,24 @@ HillClimbAllocator::allocate(const std::vector<MissCurve>& curves,
 {
     talus_assert(!curves.empty(), "no partitions to allocate");
     talus_assert(granularity >= 1, "granularity must be >= 1");
+    // Below 2^53 every allocation and allocation + granularity is an
+    // exact double, so a cached upper value at(s + g) is the same
+    // double as the next step's lower value at(s').
+    talus_assert(total <= (1ull << 53), "total too large for exact sizes");
 
-    std::vector<uint64_t> alloc(curves.size(), 0);
+    const size_t n = curves.size();
+    const double g = static_cast<double>(granularity);
+    std::vector<uint64_t> alloc(n, 0);
+    // gain[i] = at(alloc[i]) - at(alloc[i] + g); upper[i] caches the
+    // second term. Granting a granule changes only the winner's
+    // allocation, so only its entry is recomputed.
+    std::vector<double> gain(n);
+    std::vector<double> upper(n);
+    for (size_t i = 0; i < n; ++i) {
+        upper[i] = curves[i].at(g);
+        gain[i] = curves[i].at(0.0) - upper[i];
+    }
+
     uint64_t remaining = total;
     while (remaining >= granularity) {
         // Give the next granule to the partition that benefits most;
@@ -32,19 +48,19 @@ HillClimbAllocator::allocate(const std::vector<MissCurve>& curves,
         // app's cliff).
         double best_gain = -1.0;
         size_t best = 0;
-        for (size_t i = 0; i < curves.size(); ++i) {
-            const double s = static_cast<double>(alloc[i]);
-            const double gain =
-                curves[i].at(s) -
-                curves[i].at(s + static_cast<double>(granularity));
-            if (gain > best_gain ||
-                (gain == best_gain && alloc[i] < alloc[best])) {
-                best_gain = gain;
+        for (size_t i = 0; i < n; ++i) {
+            if (gain[i] > best_gain ||
+                (gain[i] == best_gain && alloc[i] < alloc[best])) {
+                best_gain = gain[i];
                 best = i;
             }
         }
         alloc[best] += granularity;
         remaining -= granularity;
+        const double lower = upper[best];
+        upper[best] =
+            curves[best].at(static_cast<double>(alloc[best]) + g);
+        gain[best] = lower - upper[best];
     }
     return alloc;
 }

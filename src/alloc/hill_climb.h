@@ -16,7 +16,15 @@
 
 namespace talus {
 
-/** Greedy marginal-utility hill climbing. */
+/**
+ * Greedy marginal-utility hill climbing. Incremental: each
+ * partition's marginal gain and upper curve value are cached, and
+ * after a granule is granted only the winner's gain is recomputed
+ * (the others' allocations did not move), so a granule costs one
+ * curve lookup plus a scan of the cached gains, not two lookups per
+ * partition. The gains are the same doubles a per-step recompute
+ * gives, with the same tie-break, so the allocations are too.
+ */
 class HillClimbAllocator : public Allocator
 {
   public:

@@ -10,10 +10,14 @@ namespace talus {
 MissCurve::MissCurve(std::vector<CurvePoint> points)
 {
     talus_assert(!points.empty(), "miss curve needs at least one point");
-    std::stable_sort(points.begin(), points.end(),
-                     [](const CurvePoint& a, const CurvePoint& b) {
-                         return a.size < b.size;
-                     });
+    // Every internal producer (monitors, hulls, scaled(),
+    // monotoneClamped()) emits points in size order, and a stable
+    // sort of sorted input is the identity: check before sorting.
+    const auto bySize = [](const CurvePoint& a, const CurvePoint& b) {
+        return a.size < b.size;
+    };
+    if (!std::is_sorted(points.begin(), points.end(), bySize))
+        std::stable_sort(points.begin(), points.end(), bySize);
     pts_.reserve(points.size());
     for (const CurvePoint& p : points) {
         talus_assert(p.size >= 0, "negative cache size in miss curve");

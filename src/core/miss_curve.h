@@ -31,8 +31,9 @@ class MissCurve
     MissCurve() = default;
 
     /**
-     * Builds a curve from points. Points are sorted by size; duplicate
-     * sizes keep the smaller miss value. At least one point required.
+     * Builds a curve from points. Points are sorted by size (the sort
+     * is skipped when they already are); duplicate sizes keep the
+     * smaller miss value. At least one point required.
      */
     explicit MissCurve(std::vector<CurvePoint> points);
 

@@ -1,5 +1,7 @@
 #include "monitor/combined_umon.h"
 
+#include <algorithm>
+
 #include "util/log.h"
 
 namespace talus {
@@ -81,16 +83,22 @@ CombinedUMon::accessBlockMulti(Span<const Addr> addrs)
 MissCurve
 CombinedUMon::curve() const
 {
-    const MissCurve fine = primary_.curve();
-    std::vector<CurvePoint> pts = fine.points();
-    if (cfg_.coverage > 1) {
-        const MissCurve coarse = secondary_.curve();
-        for (const CurvePoint& p : coarse.points()) {
-            if (p.size > static_cast<double>(cfg_.llcLines))
-                pts.push_back(p);
-        }
-    }
-    return MissCurve(std::move(pts)).monotoneClamped();
+    // One points vector, one MissCurve. The primary's largest size is
+    // llcLines to within one ulp (llcLines / ways * ways), so the
+    // secondary points above llcLines follow it in size order, and
+    // the concatenation is sorted: the constructor skips its sort, and
+    // the running minimum taken here equals monotoneClamped() of the
+    // merged curve (deduplicating equal sizes to their minimum
+    // commutes with a running minimum over sorted points).
+    std::vector<CurvePoint> pts;
+    pts.reserve(cfg_.primaryWays + 1 +
+                (cfg_.coverage > 1 ? cfg_.sampledWays : 0));
+    primary_.appendPoints(pts);
+    if (cfg_.coverage > 1)
+        secondary_.appendPoints(pts, static_cast<double>(cfg_.llcLines));
+    for (size_t i = 1; i < pts.size(); ++i)
+        pts[i].misses = std::min(pts[i].misses, pts[i - 1].misses);
+    return MissCurve(std::move(pts));
 }
 
 MissCurve

@@ -76,6 +76,9 @@ class CombinedUMon
      * Merged miss-ratio curve: primary points up to the LLC size,
      * secondary points beyond it, clamped to be non-increasing so
      * sampling noise cannot fabricate negative-utility regions.
+     * Built in one pass over one points vector; point for point the
+     * same as MissCurve(primary points + secondary points above
+     * llcLines).monotoneClamped().
      */
     MissCurve curve() const;
 

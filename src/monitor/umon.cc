@@ -83,21 +83,30 @@ UMon::accessSampled(Addr addr, uint32_t h)
 MissCurve
 UMon::curve() const
 {
+    std::vector<CurvePoint> pts;
+    pts.reserve(cfg_.ways + 1);
+    appendPoints(pts);
+    return MissCurve(std::move(pts));
+}
+
+void
+UMon::appendPoints(std::vector<CurvePoint>& out, double above) const
+{
     const double granularity =
         static_cast<double>(cfg_.modeledLines) / cfg_.ways;
     const double total =
         sampled_ > 0 ? static_cast<double>(sampled_) : 1.0;
 
-    std::vector<CurvePoint> pts;
-    pts.reserve(cfg_.ways + 1);
     uint64_t hits = 0;
-    pts.push_back({0.0, 1.0});
+    if (0.0 > above)
+        out.push_back({0.0, 1.0});
     for (uint32_t w = 0; w < cfg_.ways; ++w) {
         hits += wayHits_[w];
-        pts.push_back({granularity * (w + 1),
-                       static_cast<double>(sampled_ - hits) / total});
+        const double size = granularity * (w + 1);
+        if (size > above)
+            out.push_back(
+                {size, static_cast<double>(sampled_ - hits) / total});
     }
-    return MissCurve(std::move(pts));
 }
 
 void

@@ -90,6 +90,15 @@ class UMon
      */
     MissCurve curve() const;
 
+    /**
+     * Appends the points of curve() whose size exceeds @p above to
+     * @p out, in size order and with curve()'s arithmetic, so they are
+     * the same doubles. Lets a caller merge several monitors into one
+     * points vector without building a curve per monitor.
+     */
+    void appendPoints(std::vector<CurvePoint>& out,
+                      double above = -1.0) const;
+
     /** Halves all counters; called between reconfiguration intervals
      *  so the curve tracks the recent phase (Assumption 1). */
     void decay();

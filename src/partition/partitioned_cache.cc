@@ -169,9 +169,11 @@ void
 SchemePartitionedCache::setTargets(const std::vector<uint64_t>& lines)
 {
     cache_.setTargets(lines);
-    // The scheme may reseat its target storage; recapture the kernel
-    // context (and masks) before the next fused block.
-    maskEpoch_ = ~0ull;
+    // Re-targeting moves no line, so the masks, the fingerprint mirror
+    // and the rest of ctx_ stay valid; only the target vector may have
+    // been reseated by the assignment inside VantageScheme.
+    if (fusedVantage_ != nullptr)
+        ctx_.targets = fusedVantage_->books().targets;
 }
 
 uint32_t

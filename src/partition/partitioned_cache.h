@@ -212,6 +212,12 @@ class SchemePartitionedCache : public PartitionedCacheBase
                                uint64_t n) override;
     uint64_t accessBatchUniform(const Addr* addrs, uint64_t n,
                                 PartId part) override;
+    /**
+     * Forwards to the scheme, then refreshes only the fused kernel's
+     * target pointer. No line moves, so the masks and fingerprints
+     * stay valid and the next access pays no rebuild: a
+     * reconfiguration costs O(partitions), not O(cache lines), here.
+     */
     void setTargets(const std::vector<uint64_t>& lines) override;
     uint32_t numPartitions() const override;
     uint64_t capacityLines() const override;
@@ -541,9 +547,9 @@ class SchemePartitionedCache : public PartitionedCacheBase
      * Kernel context captured at rebuildMasks() time: every pointer
      * and geometry field the fused kernel needs, packed so an access
      * reads one struct instead of chasing through four objects. All
-     * pointers are stable between rebuilds — the paths that could
-     * reseat them (generic access, invalidation, setTargets) bump the
-     * mutation epoch or invalidate maskEpoch_ directly.
+     * pointers are stable between rebuilds — the paths that mutate
+     * lines (generic access, invalidation) bump the mutation epoch,
+     * and setTargets() refreshes `targets` in place.
      */
     struct FusedCtx
     {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "alloc/allocator_factory.h"
@@ -89,6 +90,111 @@ TEST(HillClimb, GreedyOnConvexMatchesDp)
         EXPECT_NEAR(allocationCost(curves, hill_alloc),
                     allocationCost(curves, dp_alloc), 1e-6)
             << "trial " << trial;
+    }
+}
+
+/**
+ * The per-step greedy loop HillClimbAllocator replaced: every step
+ * re-evaluates every partition's marginal gain. The incremental
+ * allocator must hand out exactly the same allocations.
+ */
+std::vector<uint64_t>
+referenceHillClimb(const std::vector<MissCurve>& curves, uint64_t total,
+                   uint64_t granularity)
+{
+    std::vector<uint64_t> alloc(curves.size(), 0);
+    uint64_t remaining = total;
+    while (remaining >= granularity) {
+        double best_gain = -1.0;
+        size_t best = 0;
+        for (size_t i = 0; i < curves.size(); ++i) {
+            const double s = static_cast<double>(alloc[i]);
+            const double gain =
+                curves[i].at(s) -
+                curves[i].at(s + static_cast<double>(granularity));
+            if (gain > best_gain ||
+                (gain == best_gain && alloc[i] < alloc[best])) {
+                best_gain = gain;
+                best = i;
+            }
+        }
+        alloc[best] += granularity;
+        remaining -= granularity;
+    }
+    return alloc;
+}
+
+/** A random raw curve: plateaus, drops, and (with @p bumps) rises,
+ *  with steps large enough that some gains fall below -1. */
+MissCurve
+randomRawCurve(Rng& rng, int points, double step, bool bumps)
+{
+    std::vector<CurvePoint> pts;
+    double value = 20 + static_cast<double>(rng.below(200));
+    for (int x = 0; x <= points; ++x) {
+        pts.push_back({x * step, value});
+        const uint64_t move = rng.below(4);
+        if (move == 1)
+            value -= static_cast<double>(rng.below(30));
+        else if (move == 2 && bumps)
+            value += static_cast<double>(rng.below(30));
+        value = std::max(value, 0.0);
+    }
+    return MissCurve(std::move(pts));
+}
+
+TEST(HillClimb, IncrementalMatchesPerStepLoop)
+{
+    HillClimbAllocator hill;
+    Rng rng(71);
+    const uint64_t granules[] = {1, 7, 8, 64, 100};
+    for (int trial = 0; trial < 200; ++trial) {
+        const int n = 1 + static_cast<int>(rng.below(6));
+        const bool hulls = trial % 2 == 0;
+        std::vector<MissCurve> curves;
+        for (int i = 0; i < n; ++i) {
+            const MissCurve raw =
+                randomRawCurve(rng, 8 + static_cast<int>(rng.below(60)),
+                               1 + static_cast<double>(rng.below(40)),
+                               !hulls);
+            curves.push_back(hulls ? ConvexHull(raw).hull() : raw);
+        }
+        const uint64_t g = granules[rng.below(5)];
+        // Totals that granularity does not divide, and that are
+        // smaller than one granule.
+        const uint64_t t = rng.below(3000);
+        EXPECT_EQ(hill.allocate(curves, t, g),
+                  referenceHillClimb(curves, t, g))
+            << "trial " << trial << " n " << n << " total " << t
+            << " granularity " << g;
+    }
+}
+
+TEST(HillClimb, IncrementalMatchesPerStepLoopOnTiesAndFlats)
+{
+    HillClimbAllocator hill;
+    const MissCurve flat({{0, 5}, {500, 5}});
+    const MissCurve line({{0, 100}, {1000, 0}});
+    const MissCurve cliff = cliffCurve(0, 100, 10, 1, 200);
+    const MissCurve hull = ConvexHull(cliff).hull();
+    // Identical curves (every step ties on gain), all-flat curves
+    // (every gain is 0), mixed flat and sloped, and a single
+    // partition.
+    const std::vector<std::vector<MissCurve>> sets{
+        {line, line, line},   {flat, flat},        {flat, line, flat},
+        {cliff, cliff},       {hull, hull, cliff}, {line},
+        {cliff},              {flat},
+    };
+    for (size_t k = 0; k < sets.size(); ++k) {
+        for (const uint64_t t : {0ull, 5ull, 99ull, 100ull, 101ull,
+                                 333ull, 1000ull}) {
+            for (const uint64_t g : {1ull, 3ull, 10ull, 128ull}) {
+                EXPECT_EQ(hill.allocate(sets[k], t, g),
+                          referenceHillClimb(sets[k], t, g))
+                    << "set " << k << " total " << t << " granularity "
+                    << g;
+            }
+        }
     }
 }
 

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "core/convex_hull.h"
 #include "core/miss_curve.h"
 #include "util/rng.h"
@@ -28,6 +32,42 @@ TEST(MissCurve, SortsAndDeduplicates)
     EXPECT_DOUBLE_EQ(c.point(0).size, 0);
     EXPECT_DOUBLE_EQ(c.point(1).size, 2);
     EXPECT_DOUBLE_EQ(c.point(1).misses, 5); // Min of duplicates.
+}
+
+TEST(MissCurve, UnsortedInputWithDuplicatesSortsAndKeepsMinimum)
+{
+    // The constructor skips its sort on sorted input; unsorted input
+    // must still take the sort. Shuffled points over 40 sizes, each
+    // size 1-4 times with random values: the curve holds every size
+    // once, in order, at the minimum of its values.
+    Rng rng(83);
+    for (int trial = 0; trial < 50; ++trial) {
+        std::vector<CurvePoint> pts;
+        std::vector<double> min_of(40, 1e300);
+        for (int size = 0; size < 40; ++size) {
+            const int copies = 1 + static_cast<int>(rng.below(4));
+            for (int k = 0; k < copies; ++k) {
+                const double v = static_cast<double>(rng.below(1000));
+                pts.push_back({static_cast<double>(size * 3), v});
+                min_of[size] = std::min(min_of[size], v);
+            }
+        }
+        for (size_t i = pts.size() - 1; i > 0; --i)
+            std::swap(pts[i], pts[rng.below(i + 1)]);
+        const MissCurve c(pts);
+        ASSERT_EQ(c.numPoints(), 40u) << "trial " << trial;
+        for (int size = 0; size < 40; ++size) {
+            EXPECT_EQ(c.point(size).size, size * 3.0) << "trial " << trial;
+            EXPECT_EQ(c.point(size).misses, min_of[size])
+                << "trial " << trial << " size " << size;
+        }
+    }
+    // Already sorted, with duplicates: still deduplicated to the
+    // minimum, whichever copy comes first.
+    const MissCurve sorted({{0, 9}, {1, 4}, {1, 2}, {1, 3}, {2, 7}, {2, 1}});
+    ASSERT_EQ(sorted.numPoints(), 3u);
+    EXPECT_EQ(sorted.point(1).misses, 2.0);
+    EXPECT_EQ(sorted.point(2).misses, 1.0);
 }
 
 TEST(MissCurve, LinearInterpolation)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cache/fully_assoc_lru.h"
 #include "monitor/combined_umon.h"
 #include "monitor/mattson_curve.h"
@@ -263,6 +265,157 @@ TEST(CombinedUMon, SeesCliffBeyondLlc)
     const MissCurve curve = mon.curve();
     EXPECT_GT(curve.at(1024), 0.9); // Still missing at LLC size.
     EXPECT_LT(curve.at(3500), 0.3); // Fits beyond the cliff.
+}
+
+/**
+ * The merge CombinedUMon::curve() replaced, over two standalone UMONs
+ * configured as CombinedUMon configures its pair: the primary's
+ * curve(), plus the secondary's points above llcLines, re-sorted into
+ * one MissCurve, then monotoneClamped().
+ */
+class ReferenceCombined
+{
+  public:
+    explicit ReferenceCombined(const CombinedUMon::Config& c)
+        : cfg_(c), primary_(primaryOf(c)), secondary_(secondaryOf(c))
+    {
+    }
+
+    void
+    access(Addr a)
+    {
+        primary_.access(a);
+        if (cfg_.coverage > 1)
+            secondary_.access(a);
+    }
+
+    void
+    decay()
+    {
+        primary_.decay();
+        secondary_.decay();
+    }
+
+    MissCurve
+    curve() const
+    {
+        std::vector<CurvePoint> pts = primary_.curve().points();
+        if (cfg_.coverage > 1) {
+            const MissCurve coarse = secondary_.curve();
+            for (const CurvePoint& p : coarse.points()) {
+                if (p.size > static_cast<double>(cfg_.llcLines))
+                    pts.push_back(p);
+            }
+        }
+        const MissCurve merged(std::move(pts));
+        if (!merged.isNonIncreasing(0.0))
+            clampsApplied_++;
+        return merged.monotoneClamped();
+    }
+
+    /** curve() calls whose merged points needed the clamp. */
+    int clampsApplied() const { return clampsApplied_; }
+
+  private:
+    static UMon::Config
+    primaryOf(const CombinedUMon::Config& c)
+    {
+        UMon::Config u;
+        u.ways = c.primaryWays;
+        u.sets = c.sets;
+        u.modeledLines = c.llcLines;
+        u.seed = c.seed;
+        return u;
+    }
+
+    static UMon::Config
+    secondaryOf(const CombinedUMon::Config& c)
+    {
+        UMon::Config u;
+        u.ways = c.sampledWays;
+        u.sets = c.sets;
+        u.modeledLines = c.llcLines * c.coverage;
+        u.seed = c.seed ^ 0x5A5A5A5A;
+        return u;
+    }
+
+    CombinedUMon::Config cfg_;
+    UMon primary_;
+    UMon secondary_;
+    mutable int clampsApplied_ = 0;
+};
+
+void
+expectSamePoints(const MissCurve& got, const MissCurve& want,
+                 const std::string& where)
+{
+    ASSERT_EQ(got.numPoints(), want.numPoints()) << where;
+    for (size_t i = 0; i < got.numPoints(); ++i) {
+        EXPECT_EQ(got.point(i).size, want.point(i).size)
+            << where << " point " << i;
+        EXPECT_EQ(got.point(i).misses, want.point(i).misses)
+            << where << " point " << i;
+    }
+}
+
+TEST(CombinedUMon, OnePassCurveMatchesMergeThenClamp)
+{
+    struct Geometry
+    {
+        uint64_t llcLines;
+        uint32_t primaryWays;
+    };
+    // Power-of-two and not, a primary granularity that does not divide
+    // llcLines (48 ways), and llcLines below 64 (the primary shrinks to
+    // one set of llcLines ways; at 10 the secondary shrinks too).
+    const Geometry geometries[] = {
+        {1024, 64}, {1000, 64}, {3000, 48}, {48, 64}, {10, 64}, {63, 64},
+    };
+    int clamps = 0;
+    for (const Geometry& g : geometries) {
+        for (const uint32_t coverage : {1u, 4u}) {
+            CombinedUMon::Config cfg;
+            cfg.llcLines = g.llcLines;
+            cfg.primaryWays = g.primaryWays;
+            cfg.coverage = coverage;
+            CombinedUMon mon(cfg);
+            ReferenceCombined ref(cfg);
+            const std::string where =
+                "llcLines " + std::to_string(g.llcLines) + " ways " +
+                std::to_string(g.primaryWays) + " coverage " +
+                std::to_string(coverage);
+
+            expectSamePoints(mon.curve(), ref.curve(),
+                             where + " before any access");
+            // A working set that fits the LLC, then one 3x its size:
+            // the two monitors' cold-miss fractions differ, so the
+            // secondary's points above llcLines can sit above the
+            // primary's last point and the clamp has work to do.
+            std::vector<Addr> trace =
+                test::randomTrace(20000, g.llcLines / 2 + 1, 41);
+            const std::vector<Addr> wide =
+                test::randomTrace(40000, 3 * g.llcLines + 7, 43);
+            trace.insert(trace.end(), wide.begin(), wide.end());
+            for (size_t i = 0; i < trace.size(); ++i) {
+                mon.access(trace[i]);
+                ref.access(trace[i]);
+                if (i % 20000 == 19999) {
+                    expectSamePoints(mon.curve(), ref.curve(),
+                                     where + " at " + std::to_string(i));
+                    mon.decay();
+                    ref.decay();
+                    expectSamePoints(mon.curve(), ref.curve(),
+                                     where + " after decay at " +
+                                         std::to_string(i));
+                }
+            }
+            expectSamePoints(mon.snapshot(), ref.curve(),
+                             where + " snapshot");
+            clamps += ref.clampsApplied();
+        }
+    }
+    // The comparison covered curves the running minimum changes.
+    EXPECT_GT(clamps, 0);
 }
 
 // -------------------------------------------------- PolicyMonitorArray

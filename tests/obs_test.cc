@@ -430,7 +430,9 @@ TEST(CacheObsTest, StalenessAndApplyAgeTrackEpochDeferral)
     const Span<const Addr> kilo(addrs.data(), 1000);
 
     const auto gauge = [&reg](const char* name) {
-        const MetricValue* m = reg.snapshot().find(name);
+        // find() points into the snapshot: keep it alive while reading.
+        const MetricsSnapshot snap = reg.snapshot();
+        const MetricValue* m = snap.find(name);
         return m != nullptr ? m->gauge : -1.0;
     };
 
