@@ -83,6 +83,11 @@ DEFAULT_TRACKED = [
     # OVERHEAD_INVARIANTS below.
     "BM_MetricsOverhead/metrics:0",
     "BM_MetricsOverhead/metrics:1",
+    # Fused kernel geometry: the L2-resident rows at 16 and Table I's
+    # 32 ways, tracked so the 32-vs-16 invariant below cannot lose a
+    # row silently. The 128K- and 1M-line rows are reported only.
+    "BM_KernelGeometry/ways:16/lines:16384",
+    "BM_KernelGeometry/ways:32/lines:16384",
 ]
 
 # No-negative-scaling invariants, checked on the current run alone:
@@ -121,6 +126,11 @@ OVERHEAD_INVARIANTS = [
     # and prefetch prologue, so the batched facade must not lose to one
     # access() per address.
     ("BM_TalusFacadeAccess", "BM_TalusBatchedAccess", 0.0),
+    # Table I's 32 ways within 1.25x of 16 ways per access: the rank
+    # row kernels loop over 16-way chunks, so doubling the ways must
+    # not fall back to scalar loops or double the rows touched.
+    ("BM_KernelGeometry/ways:16/lines:16384",
+     "BM_KernelGeometry/ways:32/lines:16384", 0.2),
 ]
 
 

@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -254,6 +255,50 @@ BM_TalusMonitorOffAccess(benchmark::State& state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TalusMonitorOffAccess);
+
+/**
+ * The fused Vantage+LRU kernel across cache geometries: batched
+ * 4096-access blocks, one partition, monitoring off, uniform
+ * addresses over twice the capacity (so about half the accesses miss
+ * and the miss path's victim scans run). Arg 0 is the associativity
+ * (16, and Table I's 32), arg 1 the capacity in lines (16K lines is
+ * L2-resident, 128K is Table I's full-scale 8 MB LLC, 1M outgrows
+ * the host's caches).
+ * compare_bench.py holds the 32-way row within 1.25x of the 16-way
+ * row per access at 16K lines.
+ */
+void
+BM_KernelGeometry(benchmark::State& state)
+{
+    constexpr size_t kBlock = 4096;
+    const uint64_t lines = static_cast<uint64_t>(state.range(1));
+    TalusCache::Config cc = facadeBenchConfig();
+    cc.ways = static_cast<uint32_t>(state.range(0));
+    cc.llcLines = lines;
+    cc.monitoring = false;
+    TalusCache cache(cc);
+    Rng rng(29);
+    std::vector<Addr> addrs(std::max<uint64_t>(uint64_t{1} << 16,
+                                               2 * lines));
+    for (Addr& a : addrs)
+        a = rng.below(2 * lines);
+    // Warm the cache with one pass, so the timed blocks are steady.
+    for (size_t off = 0; off + kBlock <= addrs.size(); off += kBlock)
+        cache.accessBatch(Span<const Addr>(addrs.data() + off, kBlock), 0);
+    size_t off = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(cache.accessBatch(
+            Span<const Addr>(addrs.data() + off, kBlock), 0));
+        off += kBlock;
+        if (off + kBlock > addrs.size())
+            off = 0;
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(kBlock));
+}
+BENCHMARK(BM_KernelGeometry)
+    ->ArgsProduct({{16, 32}, {16384, 131072, 1048576}})
+    ->ArgNames({"ways", "lines"});
 
 /**
  * Scatter-dispatch-gather through the sharded serving engine, with a

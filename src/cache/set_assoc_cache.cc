@@ -31,7 +31,6 @@ SetAssocCache::SetAssocCache(const Config& config,
 
     const size_t lines = static_cast<size_t>(numSets_) * numWays_;
     tags_.assign(lines, kInvalidTag);
-    valid_.assign(lines, 0);
     parts_.assign(lines, kNoPart);
 
     policy_->init(numSets_, numWays_);
@@ -71,7 +70,7 @@ SetAssocCache::access(Addr addr, PartId part)
     // Probe for a hit.
     for (uint32_t w = 0; w < numWays_; ++w) {
         const uint32_t line = base + w;
-        if (valid_[line] && tags_[line] == addr) {
+        if (tags_[line] == addr) {
             stats_.record(part, true);
             policy_->onHit(line, addr, part);
             if (scheme_)
@@ -95,7 +94,7 @@ SetAssocCache::access(Addr addr, PartId part)
         uint32_t n = 0;
         for (uint32_t w = 0; w < numWays_; ++w) {
             const uint32_t line = base + w;
-            if (!valid_[line]) {
+            if (!lineValid(line)) {
                 victim = line;
                 break;
             }
@@ -113,14 +112,13 @@ SetAssocCache::access(Addr addr, PartId part)
     talus_assert(victim / numWays_ == set,
                  "victim line ", victim, " outside target set ", set);
 
-    if (valid_[victim]) {
+    if (lineValid(victim)) {
         stats_.recordEviction();
         if (scheme_)
             scheme_->onEvict(victim, parts_[victim]);
     }
 
     tags_[victim] = addr;
-    valid_[victim] = 1;
     parts_[victim] = part;
     policy_->onInsert(victim, addr, part);
     if (scheme_)
@@ -131,11 +129,13 @@ SetAssocCache::access(Addr addr, PartId part)
 int64_t
 SetAssocCache::probe(Addr addr, PartId part) const
 {
+    if (addr == kInvalidTag)
+        return -1; // Would match every invalid line.
     const uint32_t set = setIndexFor(addr, part);
     const uint32_t base = set * numWays_;
     for (uint32_t w = 0; w < numWays_; ++w) {
         const uint32_t line = base + w;
-        if (valid_[line] && tags_[line] == addr)
+        if (tags_[line] == addr)
             return line;
     }
     return -1;
@@ -146,11 +146,10 @@ SetAssocCache::invalidateLine(uint32_t line)
 {
     talus_assert(line < numLines(), "invalidateLine out of range");
     mutationEpoch_++;
-    if (valid_[line]) {
+    if (lineValid(line)) {
         stats_.recordEviction();
         if (scheme_)
             scheme_->onEvict(line, parts_[line]);
-        valid_[line] = 0;
         tags_[line] = kInvalidTag;
         parts_[line] = kNoPart;
     }
@@ -161,10 +160,9 @@ SetAssocCache::invalidateAll()
 {
     mutationEpoch_++;
     for (uint32_t line = 0; line < numLines(); ++line) {
-        if (valid_[line]) {
+        if (lineValid(line)) {
             if (scheme_)
                 scheme_->onEvict(line, parts_[line]);
-            valid_[line] = 0;
             tags_[line] = kInvalidTag;
             parts_[line] = kNoPart;
         }
@@ -177,7 +175,7 @@ SetAssocCache::countLines(PartId part) const
 {
     uint64_t count = 0;
     for (uint32_t line = 0; line < numLines(); ++line) {
-        if (valid_[line] && parts_[line] == part)
+        if (lineValid(line) && parts_[line] == part)
             count++;
     }
     return count;

@@ -54,12 +54,12 @@ class SetAssocCache
     static constexpr uint32_t kMaxWays = 256;
 
     /**
-     * Tag stored by invalid lines. The cache maintains the invariant
-     * "valid_[line] == 0 implies tags_[line] == kInvalidTag", which
-     * lets the fused kernel verify a probe against the tag alone,
-     * without reading the valid array. Accesses to this address are rejected
-     * (it is not a representable line address: it would alias the
-     * sentinel once inserted).
+     * Tag stored by invalid lines, and only by them: a line is valid
+     * iff its tag differs from kInvalidTag, so there is no separate
+     * valid array and a probe is verified against the tag alone.
+     * Accesses to this address are rejected (it is not a
+     * representable line address: it would alias the sentinel once
+     * inserted).
      */
     static constexpr Addr kInvalidTag = ~0ull;
 
@@ -97,7 +97,10 @@ class SetAssocCache
     uint32_t numLines() const { return numSets_ * numWays_; }
 
     /** True if @p line holds valid data. */
-    bool lineValid(uint32_t line) const { return valid_[line] != 0; }
+    bool lineValid(uint32_t line) const
+    {
+        return tags_[line] != kInvalidTag;
+    }
 
     /** Tag (line address) stored in @p line; undefined if invalid. */
     Addr lineTag(uint32_t line) const { return tags_[line]; }
@@ -126,19 +129,16 @@ class SetAssocCache
      * Mutable raw view over the line arrays for the fused kernel
      * (SchemePartitionedCache). A kernel using it must preserve the
      * same invariants access() does: valid lines carry their tag and
-     * owning partition, and every scheme/policy counter it bypasses
-     * is updated inline. Pointers are stable for the cache's lifetime.
+     * owning partition, invalid ones kInvalidTag, and every
+     * scheme/policy counter it bypasses is updated inline. Pointers
+     * are stable for the cache's lifetime.
      */
     struct LineArrays
     {
         Addr* tags;
-        uint8_t* valid;
         PartId* parts;
     };
-    LineArrays lineArrays()
-    {
-        return {tags_.data(), valid_.data(), parts_.data()};
-    }
+    LineArrays lineArrays() { return {tags_.data(), parts_.data()}; }
 
     /** True when set indices hash the address (vs bit selection). */
     bool hashSetIndex() const { return hashSetIndex_; }
@@ -184,7 +184,6 @@ class SetAssocCache
     // boundary: the fused kernel's 128-byte tag/owner rows then touch
     // exactly two lines (see util/aligned.h).
     CacheAlignedVec<Addr> tags_;
-    CacheAlignedVec<uint8_t> valid_;
     CacheAlignedVec<PartId> parts_;
     uint64_t mutationEpoch_ = 0;
 

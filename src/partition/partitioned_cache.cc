@@ -85,7 +85,7 @@ SchemePartitionedCache::rebuildMasks()
     for (uint32_t s = 0; s < sets; ++s) {
         for (uint32_t w = 0; w < ways; ++w) {
             const uint32_t line = s * ways + w;
-            if (!la.valid[line])
+            if (!cache_.lineValid(line))
                 continue;
             const PartId p = la.parts[line];
             if (p == kNoPart)
@@ -100,10 +100,8 @@ SchemePartitionedCache::rebuildMasks()
     st.ensureParts(nparts);
     const VantageScheme::Books bk = fusedVantage_->books();
     ctx_.tags = la.tags;
-    ctx_.valid = la.valid;
     ctx_.lparts = la.parts;
-    ctx_.stamps = fusedLru_->stampsRaw();
-    ctx_.clock = fusedLru_->clockRaw();
+    ctx_.ranks = fusedLru_->ranksRaw();
     ctx_.occ = bk.occ;
     ctx_.targets = bk.targets;
     ctx_.unmanaged = bk.unmanaged;
@@ -114,6 +112,7 @@ SchemePartitionedCache::rebuildMasks()
     ctx_.hitRaw = st.hitsRaw();
     ctx_.hashSeed = cache_.hashSeed();
     ctx_.ways = ways;
+    ctx_.chunks = fused1::chunksFor(ways);
     ctx_.sets = sets;
     ctx_.setMask = sets - 1;
     ctx_.nparts = nparts;
@@ -128,10 +127,31 @@ SchemePartitionedCache::fusedBlock(const Addr* addrs, const PartId* route,
 {
     if (maskEpoch_ != cache_.mutationEpoch())
         rebuildMasks();
+    switch (ctx_.chunks) {
+      case 1:
+        return fusedBlockOf<1>(addrs, route, n, upart);
+      case 2:
+        return fusedBlockOf<2>(addrs, route, n, upart);
+      case 3:
+        return fusedBlockOf<3>(addrs, route, n, upart);
+      case 4:
+        return fusedBlockOf<4>(addrs, route, n, upart);
+      default:
+        return fusedBlockOf<0>(addrs, route, n, upart);
+    }
+}
+
+template <uint32_t kChunks>
+uint64_t
+SchemePartitionedCache::fusedBlockOf(const Addr* addrs,
+                                     const PartId* route, uint64_t n,
+                                     PartId upart)
+{
     const FusedCtx& c = ctx_;
+    const uint32_t ways = kChunks > 0 ? 16 * kChunks : c.ways;
 
     // For real blocks, precompute all set indices in one tight pass;
-    // the loop then prefetches the fingerprint row, stamp row and
+    // the loop then prefetches the fingerprint row, rank row and
     // masks kPf accesses ahead while earlier accesses resolve. Short
     // blocks skip both.
     constexpr uint64_t kPf = 8;
@@ -148,19 +168,20 @@ SchemePartitionedCache::fusedBlock(const Addr* addrs, const PartId* route,
     for (uint64_t i = 0; i < n; ++i) {
         if (setv != nullptr && i + kPf < n) {
             const uint32_t ps = setv[i + kPf];
-            const size_t pb = static_cast<size_t>(ps) * c.ways;
+            const size_t pb = static_cast<size_t>(ps) * ways;
             __builtin_prefetch(&c.fpt[pb], 0);
-            __builtin_prefetch(&c.fpt[pb + c.ways - 1], 0);
-            __builtin_prefetch(&c.stamps[pb], 1);
-            __builtin_prefetch(&c.stamps[pb + c.ways - 1], 1);
+            __builtin_prefetch(&c.fpt[pb + ways - 1], 0);
+            __builtin_prefetch(&c.ranks[pb], 1);
+            if constexpr (fused1::kRankRowMaySplit<kChunks>)
+                __builtin_prefetch(&c.ranks[pb + ways - 1], 1);
             __builtin_prefetch(&c.umk[ps], 1);
             __builtin_prefetch(&c.pmk[static_cast<size_t>(ps) * c.nparts],
                                1);
         }
         const Addr addr = addrs[i];
-        hits += accessFused1At(addr, route != nullptr ? route[i] : upart,
-                               setv != nullptr ? setv[i]
-                                               : fusedSetOf(addr));
+        hits += accessFused1At<kChunks>(
+            addr, route != nullptr ? route[i] : upart,
+            setv != nullptr ? setv[i] : fusedSetOf(addr));
     }
     return hits;
 }

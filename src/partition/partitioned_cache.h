@@ -21,21 +21,21 @@
 #include <string>
 #include <vector>
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#include <immintrin.h>
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#define TALUS_ROW_SSE2 1
 #endif
 
 #include "cache/cache_stats.h"
 #include "cache/set_assoc_cache.h"
+#include "partition/vantage.h"
+#include "policy/lru.h"
 #include "util/aligned.h"
 #include "util/bits.h"
 #include "util/log.h"
 #include "util/types.h"
 
 namespace talus {
-
-class VantageScheme;
-class LruPolicy;
 
 /** Abstract partitioned cache with runtime-resizable partitions. */
 class PartitionedCacheBase
@@ -118,81 +118,161 @@ tagFingerprint(Addr a)
     return static_cast<uint32_t>(a) ^ static_cast<uint32_t>(a >> 32);
 }
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define TALUS_FUSED1_AVX2 1
-#endif
-
-#if TALUS_FUSED1_AVX2
 /**
- * AVX2 specializations of the fused kernel's two 16-way loops. The
- * kernel is compiled for the plain x86-64 baseline, where GCC's
- * auto-vectorizer leaves the row scans at ~64 scalar ops each; these
- * hand-written bodies do the same work in a handful of vector ops
- * behind one predictable cpu-support branch. Both are bit-exact with
- * the scalar loops: the probe is pure lane-wise equality, and the
- * argmin reduces unique keys, so the minimum is order-independent.
+ * Row kernels of the fused Vantage+LRU kernel. Each works on one
+ * set's row: 32-bit fingerprints, or 8-bit LRU ranks (LruPolicy's:
+ * a permutation of 0..ways-1, 0 = LRU). @p kChunks is the row's
+ * width in 16-way chunks, or 0 for the scalar loops; with it fixed at
+ * compile time the 16-way bodies are straight-line. The vector bodies
+ * use SSE2 only, the x86-64 baseline, so there is no runtime
+ * dispatch; targets without SSE2 run the scalar loops at every
+ * width. The vector bodies are bit-exact with the scalar loops: the
+ * probe is lane-wise equality, the touch is lane-wise arithmetic, and
+ * the argmin reduces keys that are unique within a set.
  */
 namespace fused1 {
 
-/** True once at startup iff the host executes AVX2. */
-inline const bool kHaveAvx2 = __builtin_cpu_supports("avx2");
-
-/** 16-lane fingerprint-equality mask over one 64-byte row. */
-__attribute__((target("avx2"))) inline uint64_t
-probeRow16(const uint32_t* row, uint32_t fp)
+/** Row width in 16-way chunks, or 0 when @p ways is not a multiple
+ *  of 16 (scalar loops). The kernel supports up to 64 ways. */
+constexpr uint32_t
+chunksFor(uint32_t ways)
 {
-    const __m256i needle = _mm256_set1_epi32(static_cast<int>(fp));
-    const __m256i lo = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(row));
-    const __m256i hi = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(row + 8));
-    const uint32_t mlo = static_cast<uint32_t>(_mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpeq_epi32(lo, needle))));
-    const uint32_t mhi = static_cast<uint32_t>(_mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpeq_epi32(hi, needle))));
-    return mlo | (mhi << 8);
+    return ways % 16 == 0 ? ways / 16 : 0;
+}
+
+/** True when a rank row can straddle a cache line: 16-, 32- and
+ *  64-byte rows tile the line-aligned rank array exactly. */
+template <uint32_t kChunks>
+constexpr bool kRankRowMaySplit =
+    kChunks == 0 || 64 % (16 * kChunks) != 0;
+
+/** Fingerprint-equality mask (bit w = way w) over one row. */
+template <uint32_t kChunks>
+inline uint64_t
+probeRow(const uint32_t* row, uint32_t ways, uint32_t fp)
+{
+#if TALUS_ROW_SSE2
+    if constexpr (kChunks > 0) {
+        const __m128i needle = _mm_set1_epi32(static_cast<int>(fp));
+        uint64_t m = 0;
+        for (uint32_t c = 0; c < kChunks; ++c) {
+            const __m128i* p =
+                reinterpret_cast<const __m128i*>(row + 16 * c);
+            const __m128i e0 =
+                _mm_cmpeq_epi32(_mm_loadu_si128(p), needle);
+            const __m128i e1 =
+                _mm_cmpeq_epi32(_mm_loadu_si128(p + 1), needle);
+            const __m128i e2 =
+                _mm_cmpeq_epi32(_mm_loadu_si128(p + 2), needle);
+            const __m128i e3 =
+                _mm_cmpeq_epi32(_mm_loadu_si128(p + 3), needle);
+            // All-ones/zero lanes survive signed saturation, so two
+            // packing steps leave one 0xFF/0x00 byte per way.
+            const __m128i b = _mm_packs_epi16(_mm_packs_epi32(e0, e1),
+                                              _mm_packs_epi32(e2, e3));
+            m |= static_cast<uint64_t>(
+                     static_cast<uint32_t>(_mm_movemask_epi8(b)))
+                 << (16 * c);
+        }
+        return m;
+    }
+#endif
+    uint64_t m = 0;
+    for (uint32_t w = 0; w < ways; ++w)
+        m |= static_cast<uint64_t>(row[w] == fp) << w;
+    return m;
 }
 
 /**
- * Way of the minimum packed key ((stamp << 6) | way, excluded ways
- * saturated to all-ones) over a 16-way stamp row. @p m != 0. AVX2 has
- * no unsigned 64-bit min, so lanes are compared with the sign bit
- * flipped (signed greater-than over biased values == unsigned).
+ * LruPolicy::touchRow() on way @p w of a rank row. The vector body
+ * finds w's lane by its rank (unique in the row) and blends the MRU
+ * rank in, so the row is written by one store per chunk and the next
+ * touch of the set forwards from it.
  */
-__attribute__((target("avx2"))) inline uint32_t
-argminRow16(const uint64_t* srow, uint64_t m)
+template <uint32_t kChunks>
+inline void
+touchRow(uint8_t* row, uint32_t ways, uint32_t w)
 {
-    const __m256i one = _mm256_set1_epi64x(1);
-    const __m256i mv = _mm256_set1_epi64x(static_cast<long long>(m));
-    const __m256i sgn = _mm256_set1_epi64x(
-        static_cast<long long>(0x8000000000000000ull));
-    __m256i best = _mm256_set1_epi64x(-1);
-    for (uint32_t g = 0; g < 4; ++g) {
-        const __m256i widx = _mm256_setr_epi64x(
-            g * 4, g * 4 + 1, g * 4 + 2, g * 4 + 3);
-        // excl = (bit set ? 0 : ~0), as (bit & 1) - 1.
-        const __m256i bit =
-            _mm256_and_si256(_mm256_srlv_epi64(mv, widx), one);
-        const __m256i excl = _mm256_sub_epi64(bit, one);
-        const __m256i st = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(srow + g * 4));
-        const __m256i key = _mm256_or_si256(
-            _mm256_or_si256(_mm256_slli_epi64(st, 6), widx), excl);
-        const __m256i gt = _mm256_cmpgt_epi64(
-            _mm256_xor_si256(best, sgn), _mm256_xor_si256(key, sgn));
-        best = _mm256_blendv_epi8(best, key, gt);
+#if TALUS_ROW_SSE2
+    if constexpr (kChunks > 0) {
+        // Ranks are < 64, so signed byte compares order them.
+        const uint32_t r = row[w];
+        const __m128i rv =
+            _mm_set1_epi32(static_cast<int>(r * 0x01010101u));
+        const __m128i mru =
+            _mm_set1_epi8(static_cast<char>(16 * kChunks - 1));
+        for (uint32_t c = 0; c < kChunks; ++c) {
+            __m128i* p = reinterpret_cast<__m128i*>(row + 16 * c);
+            __m128i v = _mm_loadu_si128(p);
+            const __m128i self = _mm_cmpeq_epi8(v, rv);
+            v = _mm_add_epi8(v, _mm_cmpgt_epi8(v, rv));
+            v = _mm_or_si128(_mm_andnot_si128(self, v),
+                             _mm_and_si128(self, mru));
+            _mm_storeu_si128(p, v);
+        }
+        return;
     }
-    alignas(32) uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), best);
-    uint64_t k = lanes[0];
-    k = lanes[1] < k ? lanes[1] : k;
-    k = lanes[2] < k ? lanes[2] : k;
-    k = lanes[3] < k ? lanes[3] : k;
-    return static_cast<uint32_t>(k & 63);
+#endif
+    LruPolicy::touchRow(row, ways, w);
+}
+
+/**
+ * The LRU way among the ways selected by @p m (m != 0) in a rank row.
+ * Ranks are unique within a set, so this equals LruPolicy::victim
+ * over the selected ways in way order. Each way's key is
+ * (rank << 8) | way, with the rank of unselected ways forced to 0x7F
+ * (above any real rank); one signed 16-bit min-reduction then leaves
+ * the winner's way in the low byte.
+ */
+template <uint32_t kChunks>
+inline uint32_t
+argminRow(const uint8_t* row, uint32_t ways, uint64_t m)
+{
+#if TALUS_ROW_SSE2
+    if constexpr (kChunks > 0) {
+        const __m128i bitsel =
+            _mm_setr_epi8(1, 2, 4, 8, 16, 32, 64, -128, 1, 2, 4, 8, 16,
+                          32, 64, -128);
+        const __m128i iota = _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
+                                           10, 11, 12, 13, 14, 15);
+        const __m128i unsel = _mm_set1_epi8(0x7F);
+        __m128i best = _mm_set1_epi16(0x7FFF);
+        for (uint32_t c = 0; c < kChunks; ++c) {
+            // Byte lane i of b = byte i / 8 of this chunk's 16 mask
+            // bits; lane i is selected iff its bit is set there.
+            __m128i b = _mm_cvtsi32_si128(
+                static_cast<int>((m >> (16 * c)) & 0xFFFF));
+            b = _mm_unpacklo_epi8(b, b);
+            b = _mm_unpacklo_epi16(b, b);
+            b = _mm_unpacklo_epi32(b, b);
+            const __m128i sel =
+                _mm_cmpeq_epi8(_mm_and_si128(b, bitsel), bitsel);
+            const __m128i rk = _mm_or_si128(
+                _mm_loadu_si128(
+                    reinterpret_cast<const __m128i*>(row + 16 * c)),
+                _mm_andnot_si128(sel, unsel));
+            const __m128i way = _mm_add_epi8(
+                iota, _mm_set1_epi8(static_cast<char>(16 * c)));
+            best = _mm_min_epi16(best, _mm_unpacklo_epi8(way, rk));
+            best = _mm_min_epi16(best, _mm_unpackhi_epi8(way, rk));
+        }
+        best = _mm_min_epi16(best, _mm_shuffle_epi32(best, 0x4E));
+        best = _mm_min_epi16(best, _mm_shuffle_epi32(best, 0xB1));
+        best = _mm_min_epi16(best, _mm_shufflelo_epi16(best, 0xB1));
+        return static_cast<uint32_t>(_mm_cvtsi128_si32(best)) & 0xFF;
+    }
+#endif
+    uint32_t best = ~0u;
+    for (uint32_t w = 0; w < ways; ++w) {
+        const uint32_t excl = static_cast<uint32_t>((m >> w) & 1) - 1;
+        const uint32_t key =
+            (static_cast<uint32_t>(row[w]) << 8 | w) | excl;
+        best = key < best ? key : best;
+    }
+    return best & 0xFF;
 }
 
 } // namespace fused1
-#endif // TALUS_FUSED1_AVX2
 
 /** A SetAssocCache driven through a PartitionScheme. */
 class SchemePartitionedCache : public PartitionedCacheBase
@@ -239,7 +319,7 @@ class SchemePartitionedCache : public PartitionedCacheBase
      * One access through the fused Vantage+LRU kernel: a
      * devirtualized replica of SetAssocCache::access over
      * VantageScheme + LruPolicy, in the exact operation order of the
-     * generic path (probe -> stats -> stamp -> promote/victim ->
+     * generic path (probe -> stats -> LRU touch -> promote/victim ->
      * evict bookkeeping -> insert -> demote). Every counter the
      * generic path's virtual hooks would touch is updated inline, so
      * the state after each access is bit-identical to the generic
@@ -248,10 +328,12 @@ class SchemePartitionedCache : public PartitionedCacheBase
      * TalusCache facade's flattened serial path pays no out-of-line
      * call for a whole access (monitor sample + route + this probe
      * run straight-line in the caller); the batched entry points run
-     * the same body in a loop (see fusedBlock()).
+     * the same body in a loop (see fusedBlock()). The row width is
+     * dispatched once here, so each instantiation's body is
+     * straight-line for its geometry.
      *
      * Ownership is derived from the per-set masks instead of the
-     * lparts/valid arrays (the struct-of-arrays layout the kernel
+     * lparts/tag arrays (the struct-of-arrays layout the kernel
      * maintains): a hit way is unmanaged iff its umk bit is set, a
      * victim's owner is implied by which mask selected it, and an
      * invalid-way victim needs no eviction bookkeeping at all. The
@@ -266,7 +348,19 @@ class SchemePartitionedCache : public PartitionedCacheBase
     {
         if (maskEpoch_ != cache_.mutationEpoch())
             rebuildMasks();
-        return accessFused1At(addr, part, fusedSetOf(addr));
+        const uint32_t set = fusedSetOf(addr);
+        switch (ctx_.chunks) {
+          case 1:
+            return accessFused1At<1>(addr, part, set);
+          case 2:
+            return accessFused1At<2>(addr, part, set);
+          case 3:
+            return accessFused1At<3>(addr, part, set);
+          case 4:
+            return accessFused1At<4>(addr, part, set);
+          default:
+            return accessFused1At<0>(addr, part, set);
+        }
     }
 
   private:
@@ -284,37 +378,41 @@ class SchemePartitionedCache : public PartitionedCacheBase
 
     /**
      * The body of accessFused1() for an access whose set index
-     * (fusedSetOf(addr)) is already known. The masks and ctx_ must be
-     * current (maskEpoch_ == the cache's mutation epoch).
+     * (fusedSetOf(addr)) is already known, over rows of @p kChunks
+     * 16-way chunks (0: ctx_.ways, scalar loops; see fused1). The
+     * masks and ctx_ must be current (maskEpoch_ == the cache's
+     * mutation epoch).
      *
      * always_inline because this is the whole point of the flattened
      * facade path: at ~150 statements GCC's inliner judges the body
      * too big and emits a call, which reintroduces exactly the
      * per-access call overhead the facade flattening removed.
      */
+    template <uint32_t kChunks>
     __attribute__((always_inline)) inline bool
     accessFused1At(Addr addr, PartId part, uint32_t set)
     {
         const FusedCtx& c = ctx_;
-        const uint32_t ways = c.ways;
+        const uint32_t ways = kChunks > 0 ? 16 * kChunks : c.ways;
         const uint32_t nparts = c.nparts;
         talus_assert(part < nparts, "bad partition id ", part);
         talus_assert(addr != SetAssocCache::kInvalidTag,
                      "address aliases the invalid-tag sentinel");
         const uint32_t base = set * ways;
         Addr* tags = c.tags;
-        uint64_t* stamps = c.stamps;
+        uint8_t* rrow = c.ranks + base;
         uint64_t* umk = c.umk;
         uint64_t* pmk = c.pmk;
         uint32_t* fpt = c.fpt;
 
-        // Touch the stamp row and masks before the probe resolves:
-        // every access writes a stamp (hit promotion or insert) and
-        // reads the set's masks, but those loads sit behind the
+        // Touch the rank row and masks before the probe resolves:
+        // every access writes the rank row (hit promotion or insert)
+        // and reads the set's masks, but those loads sit behind the
         // hit/miss branch — hoisted prefetches overlap their latency
         // with the fingerprint probe instead of serializing after it.
-        __builtin_prefetch(&stamps[base], 1);
-        __builtin_prefetch(&stamps[base + ways - 1], 1);
+        __builtin_prefetch(rrow, 1);
+        if constexpr (fused1::kRankRowMaySplit<kChunks>)
+            __builtin_prefetch(rrow + ways - 1, 1);
         __builtin_prefetch(&umk[set], 1);
         __builtin_prefetch(&pmk[static_cast<size_t>(set) * nparts], 1);
 
@@ -326,18 +424,7 @@ class SchemePartitionedCache : public PartitionedCacheBase
         // fold is a function of the address), in which case the full
         // tag row is never read at all.
         const uint32_t fp = tagFingerprint(addr);
-        uint64_t m_fp = 0;
-#if TALUS_FUSED1_AVX2
-        if (ways == 16 && fused1::kHaveAvx2) {
-            m_fp = fused1::probeRow16(fpt + base, fp);
-        } else
-#endif
-        {
-            for (uint32_t w = 0; w < ways; ++w) {
-                m_fp |= static_cast<uint64_t>(fpt[base + w] == fp)
-                        << w;
-            }
-        }
+        uint64_t m_fp = fused1::probeRow<kChunks>(fpt + base, ways, fp);
         uint64_t m_match = 0;
         while (m_fp != 0) {
             const uint32_t w =
@@ -350,72 +437,47 @@ class SchemePartitionedCache : public PartitionedCacheBase
         }
         c.accRaw[part]++;
 
-        // Branchless LRU argmin over the ways selected by mask @p m
-        // (m != 0). The LRU clock stamps every touch with a fresh
-        // ++clock, so stamps are unique and the minimum needs no
-        // way-order tie-break: packing (stamp << 6) | way turns the
-        // walk into a pure min-reduction, and the mask-restricted
-        // minimum equals LruPolicy::victim over way-ordered
-        // candidates. Excluded ways get a sentinel above any real key
-        // (stamps stay far below 2^57 for any feasible run).
-        const auto argminStamp = [&](uint64_t m) -> uint32_t {
-#if TALUS_FUSED1_AVX2
-            if (ways == 16 && fused1::kHaveAvx2)
-                return base + fused1::argminRow16(stamps + base, m);
-#endif
-            uint64_t best = ~0ull;
-            for (uint32_t w = 0; w < ways; ++w) {
-                const uint64_t excl = -(((m >> w) & 1) ^ 1ull);
-                const uint64_t key =
-                    ((stamps[base + w] << 6) | w) | excl;
-                best = key < best ? key : best;
-            }
-            return base + static_cast<uint32_t>(best & 63);
-        };
-
         // VantageScheme::demoteIfOverTarget with the argmin fused in,
-        // walking only p's ways minus the just-inserted line.
+        // walking only p's ways minus the just-inserted one.
         const auto demote = [&](uint32_t inserted, PartId p) {
             if (c.occ[p] <= c.targets[p] || c.targets[p] == 0)
                 return;
             const uint64_t m =
                 pmk[static_cast<size_t>(set) * nparts + p] &
-                ~(1ull << (inserted - base));
+                ~(1ull << inserted);
             if (m == 0)
                 return; // Cannot demote within this set; converges later.
-            const uint32_t demoted = argminStamp(m);
-            c.lparts[demoted] = kNoPart;
+            const uint32_t dw = fused1::argminRow<kChunks>(rrow, ways, m);
+            c.lparts[base + dw] = kNoPart;
             c.occ[p]--;
             (*c.unmanaged)++;
-            pmk[static_cast<size_t>(set) * nparts + p] &=
-                ~(1ull << (demoted - base));
-            umk[set] |= 1ull << (demoted - base);
+            pmk[static_cast<size_t>(set) * nparts + p] &= ~(1ull << dw);
+            umk[set] |= 1ull << dw;
         };
 
         if (m_match != 0) {
             const uint32_t hw =
                 static_cast<uint32_t>(__builtin_ctzll(m_match));
-            const uint32_t hit_line = base + hw;
             c.hitRaw[part]++;
-            stamps[hit_line] = ++*c.clock;
+            fused1::touchRow<kChunks>(rrow, ways, hw);
             if ((umk[set] >> hw) & 1) {
                 // Promotion — the hit way's umk bit says it was
                 // unmanaged (masks track exactly valid+kNoPart).
-                c.lparts[hit_line] = part;
+                c.lparts[base + hw] = part;
                 c.occ[part]++;
                 if (*c.unmanaged > 0)
                     (*c.unmanaged)--;
                 umk[set] &= ~(1ull << hw);
                 pmk[static_cast<size_t>(set) * nparts + part] |= 1ull
                                                                  << hw;
-                demote(hit_line, part);
+                demote(hw, part);
             }
             return true;
         }
 
         // Miss: invalid way first (no eviction bookkeeping — an
-        // invalid tag implies !valid), else unmanaged LRU (owner is
-        // kNoPart by construction), else the LRU of the most
+        // invalid tag implies an invalid line), else unmanaged LRU
+        // (owner is kNoPart by construction), else the LRU of the most
         // over-target partition present (owner == worst). The invalid
         // ways fall out of the masks the miss path loads anyway — the
         // masks cover exactly the valid lines (umk = valid+kNoPart,
@@ -427,75 +489,64 @@ class SchemePartitionedCache : public PartitionedCacheBase
         const uint64_t way_span =
             ways == 64 ? ~0ull : (1ull << ways) - 1;
         const uint64_t m_inval = ~m_valid & way_span;
-        uint32_t victim;
+        uint32_t vw; // Victim way.
         if (m_inval != 0) {
-            victim =
-                base + static_cast<uint32_t>(__builtin_ctzll(m_inval));
+            vw = static_cast<uint32_t>(__builtin_ctzll(m_inval));
         } else {
             const uint64_t mu = umk[set];
             if (mu != 0) {
-                // A one-bit mask needs no stamp scan — the argmin of a
+                // A one-bit mask needs no rank scan — the argmin of a
                 // singleton is its only member.
-                victim = (mu & (mu - 1)) == 0
-                             ? base + static_cast<uint32_t>(
-                                          __builtin_ctzll(mu))
-                             : argminStamp(mu);
+                vw = (mu & (mu - 1)) == 0
+                         ? static_cast<uint32_t>(__builtin_ctzll(mu))
+                         : fused1::argminRow<kChunks>(rrow, ways, mu);
                 cache_.stats().recordEviction();
                 if (*c.unmanaged > 0)
                     (*c.unmanaged)--;
-                umk[set] &= ~(1ull << (victim - base));
+                umk[set] &= ~(1ull << vw);
             } else {
-                // The rare set-conflict scan, with the generic path's
-                // exact divide. The generic path walks ways in order
-                // and keeps the first strictly-greater ratio, i.e.
-                // among the parts tied at the maximum ratio it picks
-                // the one whose first way in this set is earliest.
-                // Iterating parts with that explicit tie-break is
-                // equivalent and touches each present part once
-                // instead of each way.
+                // The set-conflict scan: the generic path's exact
+                // moreOverTarget() order, where ties go to the part
+                // whose first way in this set is earliest. Iterating
+                // parts with that first way touches each present part
+                // once instead of each way.
                 PartId worst = kNoPart;
-                double worst_ratio = -1.0;
-                uint32_t worst_first = 64;
+                uint32_t worst_first = 0;
                 for (uint32_t q = 0; q < nparts; ++q) {
                     const uint64_t mq =
                         pmk[static_cast<size_t>(set) * nparts + q];
                     if (mq == 0)
                         continue;
-                    const double ratio =
-                        c.targets[q] == 0
-                            ? 1e18
-                            : static_cast<double>(c.occ[q]) /
-                                  static_cast<double>(c.targets[q]);
                     const uint32_t first =
                         static_cast<uint32_t>(__builtin_ctzll(mq));
-                    if (ratio > worst_ratio ||
-                        (ratio == worst_ratio &&
-                         first < worst_first)) {
-                        worst_ratio = ratio;
+                    if (worst == kNoPart ||
+                        moreOverTarget(c.occ[q], c.targets[q], first,
+                                       c.occ[worst], c.targets[worst],
+                                       worst_first)) {
                         worst = q;
                         worst_first = first;
                     }
                 }
                 talus_assert(worst != kNoPart,
                              "set full of foreign lines");
-                victim = argminStamp(
+                vw = fused1::argminRow<kChunks>(
+                    rrow, ways,
                     pmk[static_cast<size_t>(set) * nparts + worst]);
                 cache_.stats().recordEviction();
                 if (c.occ[worst] > 0)
                     c.occ[worst]--;
                 pmk[static_cast<size_t>(set) * nparts + worst] &=
-                    ~(1ull << (victim - base));
+                    ~(1ull << vw);
             }
         }
+        const uint32_t victim = base + vw;
         tags[victim] = addr;
         fpt[victim] = fp;
-        c.valid[victim] = 1;
         c.lparts[victim] = part;
-        stamps[victim] = ++*c.clock;
+        fused1::touchRow<kChunks>(rrow, ways, vw);
         c.occ[part]++;
-        pmk[static_cast<size_t>(set) * nparts + part] |=
-            1ull << (victim - base);
-        demote(victim, part);
+        pmk[static_cast<size_t>(set) * nparts + part] |= 1ull << vw;
+        demote(vw, part);
         return false;
     }
 
@@ -504,10 +555,14 @@ class SchemePartitionedCache : public PartitionedCacheBase
      * @p route is per-address partitions, or nullptr for uniform
      * @p upart. Blocks of at least kPf accesses first precompute
      * every set index, so the loop can prefetch the rows of the
-     * access kPf ahead while earlier accesses resolve.
+     * access kPf ahead while earlier accesses resolve. Dispatches the
+     * row width once per block to fusedBlockOf().
      */
     uint64_t fusedBlock(const Addr* addrs, const PartId* route,
                         uint64_t n, PartId upart);
+    template <uint32_t kChunks>
+    uint64_t fusedBlockOf(const Addr* addrs, const PartId* route,
+                          uint64_t n, PartId upart);
 
     /** Rebuilds the per-set occupancy masks and the fingerprint
      *  mirror from the line arrays, recaptures ctx_, and records the
@@ -554,10 +609,8 @@ class SchemePartitionedCache : public PartitionedCacheBase
     struct FusedCtx
     {
         Addr* tags;
-        uint8_t* valid;
         PartId* lparts;
-        uint64_t* stamps;
-        uint64_t* clock;
+        uint8_t* ranks;
         uint64_t* occ;
         const uint64_t* targets;
         uint64_t* unmanaged;
@@ -568,6 +621,7 @@ class SchemePartitionedCache : public PartitionedCacheBase
         uint64_t* hitRaw;
         uint64_t hashSeed;
         uint32_t ways;
+        uint32_t chunks; //!< fused1::chunksFor(ways).
         uint32_t sets;
         uint32_t setMask;
         uint32_t nparts;

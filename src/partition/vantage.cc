@@ -16,6 +16,9 @@ VantageScheme::VantageScheme(uint32_t num_parts)
 void
 VantageScheme::init(SetAssocCache* cache)
 {
+    talus_assert(cache->numLines() < kVantageMaxLines,
+                 "Vantage caches are limited to ", kVantageMaxLines - 1,
+                 " lines, got ", cache->numLines());
     cache_ = cache;
     // Default: equal targets over 90% of capacity (paper default).
     std::vector<uint64_t> equal(
@@ -61,10 +64,10 @@ VantageScheme::selectVictim(uint32_t set, PartId part, ReplPolicy& policy)
     // (LRU), collect-then-call collapses into one pass. Both forms
     // take the first strict minimum in way order, so the choice is
     // bit-identical.
-    const uint64_t* keys = policy.rankKeys();
+    const uint8_t* keys = policy.rankKeys();
     if (keys != nullptr) {
         uint32_t best = kBypassLine;
-        uint64_t best_key = ~0ull;
+        uint32_t best_key = ~0u;
         for (uint32_t w = 0; w < ways; ++w) {
             const uint32_t line = base + w;
             if (!cache_->lineValid(line))
@@ -99,32 +102,30 @@ VantageScheme::selectVictim(uint32_t set, PartId part, ReplPolicy& policy)
 
 uint32_t
 VantageScheme::victimOfWorstPart(uint32_t base, uint32_t ways,
-                                 const uint64_t* keys, ReplPolicy& policy)
+                                 const uint8_t* keys, ReplPolicy& policy)
 {
-
     // Otherwise demote-and-evict from the most over-target partition
-    // present in this set.
+    // present in this set. Walking ways in order, a partition's first
+    // sighting is its first way; later sightings of the same
+    // partition tie on the ratio and lose on the way.
     PartId worst = kNoPart;
-    double worst_ratio = -1.0;
+    uint32_t worst_first = 0;
     for (uint32_t w = 0; w < ways; ++w) {
         const PartId q = cache_->linePart(base + w);
         if (q == kNoPart || q >= numParts_)
             continue;
-        const double ratio =
-            targets_[q] == 0
-                ? 1e18
-                : static_cast<double>(occ_[q]) /
-                      static_cast<double>(targets_[q]);
-        if (ratio > worst_ratio) {
-            worst_ratio = ratio;
+        if (worst == kNoPart ||
+            moreOverTarget(occ_[q], targets_[q], w, occ_[worst],
+                           targets_[worst], worst_first)) {
             worst = q;
+            worst_first = w;
         }
     }
     talus_assert(worst != kNoPart, "set full of foreign lines");
 
     if (keys != nullptr) {
         uint32_t best = kBypassLine;
-        uint64_t best_key = ~0ull;
+        uint32_t best_key = ~0u;
         for (uint32_t w = 0; w < ways; ++w) {
             const uint32_t line = base + w;
             if (cache_->linePart(line) == worst && keys[line] < best_key) {
@@ -155,9 +156,9 @@ VantageScheme::demoteIfOverTarget(uint32_t inserted_line, PartId part)
     const uint32_t ways = cache_->numWays();
     const uint32_t base = (inserted_line / ways) * ways;
     uint32_t demoted = kBypassLine;
-    const uint64_t* keys = cache_->policy().rankKeys();
+    const uint8_t* keys = cache_->policy().rankKeys();
     if (keys != nullptr) {
-        uint64_t best_key = ~0ull;
+        uint32_t best_key = ~0u;
         for (uint32_t w = 0; w < ways; ++w) {
             const uint32_t line = base + w;
             if (line != inserted_line && cache_->lineValid(line) &&

@@ -31,11 +31,42 @@
 #ifndef TALUS_PARTITION_VANTAGE_H
 #define TALUS_PARTITION_VANTAGE_H
 
+#include <cstdint>
 #include <vector>
 
 #include "cache/scheme.h"
 
 namespace talus {
+
+/**
+ * Largest cache (in lines, exclusive) VantageScheme accepts. Below it
+ * every occupancy and target is under 2^26, so the cross products in
+ * moreOverTarget() stay under 2^52 and its exact order provably equals
+ * the double-divide order (occ / target) that earlier releases used:
+ * two distinct ratios a/b > c/d differ by at least 1/(bd), which
+ * exceeds the two divides' combined rounding error whenever
+ * ad + bc < 2^53.
+ */
+constexpr uint64_t kVantageMaxLines = uint64_t{1} << 26;
+
+/**
+ * Vantage's "most over target" order among partitions present in one
+ * set: true iff partition a (occupancy @p occ_a, target @p tgt_a,
+ * first way @p first_a in the set) ranks strictly before partition b.
+ * Compares occ/target exactly, by integer cross-multiplication; a
+ * zero target counts as +infinity (it is scored as 1/0, so two zero
+ * targets tie); ties go to the earlier first way. Both the generic
+ * VantageScheme and the fused Vantage+LRU kernel choose their
+ * set-conflict victim partition with it.
+ */
+inline bool
+moreOverTarget(uint64_t occ_a, uint64_t tgt_a, uint32_t first_a,
+               uint64_t occ_b, uint64_t tgt_b, uint32_t first_b)
+{
+    const uint64_t lhs = (tgt_a == 0 ? 1 : occ_a) * tgt_b;
+    const uint64_t rhs = (tgt_b == 0 ? 1 : occ_b) * tgt_a;
+    return lhs != rhs ? lhs > rhs : first_a < first_b;
+}
 
 /** Fine-grained, Vantage-style partitioning with an unmanaged region. */
 class VantageScheme : public PartitionScheme
@@ -87,7 +118,7 @@ class VantageScheme : public PartitionScheme
     /** Victim among the lines of the most over-target partition in
      *  the set; @p keys is the policy's rank keys or nullptr. */
     uint32_t victimOfWorstPart(uint32_t base, uint32_t ways,
-                               const uint64_t* keys, ReplPolicy& policy);
+                               const uint8_t* keys, ReplPolicy& policy);
 
     uint32_t numParts_;
     std::vector<uint64_t> targets_;

@@ -3,14 +3,14 @@
  * Cache-line-aligned vector storage for hot per-set arrays.
  *
  * The fused kernel walks per-set rows (16 ways x 8 bytes = 128 bytes
- * for tags and LRU stamps). malloc only guarantees 16-byte alignment,
- * so a 128-byte row generally straddles *three* cache lines instead
- * of two — one avoidable line fill on every probe and every argmin.
- * Allocating the backing stores at 64-byte alignment makes each row
- * start on a line boundary, so a 128-byte row touches exactly two
- * lines (and a 64-byte row, e.g. the per-set owner words, exactly
- * one). Pure layout: contents and iteration order are untouched, so
- * the change is bit-exact by construction.
+ * of tags, 64 bytes of fingerprints, 16 bytes of LRU ranks). malloc
+ * only guarantees 16-byte alignment, so a 128-byte row generally
+ * straddles *three* cache lines instead of two — one avoidable line
+ * fill on every tag verify. Allocating the backing stores at 64-byte
+ * alignment makes each row start on a line boundary, so a 128-byte
+ * row touches exactly two lines, a 64-byte row exactly one, and a
+ * 16-byte rank row never splits. Pure layout: contents and iteration
+ * order are untouched, so the change is bit-exact by construction.
  */
 
 #ifndef TALUS_UTIL_ALIGNED_H

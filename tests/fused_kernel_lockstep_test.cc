@@ -4,17 +4,21 @@
  * batched entry points) against the generic virtual path
  * (SetAssocCache + VantageScheme + LruPolicy, one access() at a time),
  * in lockstep. After every block, the two must agree on the block's
- * hits and on the whole cache state: every line's tag, valid bit,
- * owner and LRU stamp, every partition's occupancy, the unmanaged
- * count, the eviction count, and the per-partition access and hit
- * stats.
+ * hits and on the whole cache state: every line's tag, valid bit and
+ * owner, every set's whole LRU rank row (which must be a permutation
+ * of 0..ways-1 on both sides), every partition's occupancy, the
+ * unmanaged count, the eviction count, and the per-partition access
+ * and hit stats. Within-set recency order is the only LRU state a
+ * victim choice can observe, and the rank rows are exactly that.
  *
  * The traces cross every path of the kernel: fingerprint collisions,
  * cross-partition hits, promotion, demotion, invalid-way fills,
  * unmanaged-LRU victims and the set-conflict worst-partition scan
  * (including zero-target partitions), under targets changed
  * mid-stream, through block sizes on both sides of the prologue's
- * prefetch distance.
+ * prefetch distance, at every row width the kernel instantiates:
+ * the scalar loops (4 and 12 ways) and 1 to 4 vector chunks (16 to
+ * 64 ways).
  */
 
 #include <gtest/gtest.h>
@@ -183,8 +187,21 @@ class Lockstep
                 << where << ": tag of line " << l;
             ASSERT_EQ(fc.linePart(l), generic_.linePart(l))
                 << where << ": owner of line " << l;
-            ASSERT_EQ(flru.stamp(l), glru.stamp(l))
-                << where << ": stamp of line " << l;
+        }
+        for (uint32_t s = 0; s < g_.sets; ++s) {
+            std::vector<uint8_t> frow(g_.ways), grow(g_.ways);
+            std::vector<bool> seen(g_.ways, false);
+            for (uint32_t w = 0; w < g_.ways; ++w) {
+                frow[w] = flru.rank(s * g_.ways + w);
+                grow[w] = glru.rank(s * g_.ways + w);
+                ASSERT_LT(frow[w], g_.ways)
+                    << where << ": rank of set " << s << " way " << w;
+                ASSERT_FALSE(seen[frow[w]])
+                    << where << ": rank row of set " << s
+                    << " repeats rank " << int{frow[w]};
+                seen[frow[w]] = true;
+            }
+            ASSERT_EQ(frow, grow) << where << ": rank row of set " << s;
         }
         const auto* fv =
             static_cast<const VantageScheme*>(fc.scheme());
@@ -308,9 +325,16 @@ TEST(FusedKernelLockstep, FourWaysBitSelectedNonPowerOfTwoSets)
     runLockstep({4, 37, false, 2}, 101);
 }
 
+TEST(FusedKernelLockstep, TwelveWaysScalarRows)
+{
+    // Not a multiple of 16: the scalar row loops, on unaligned rows.
+    runLockstep({12, 40, true, 3}, 137);
+    runLockstep({12, 32, false, 4}, 139);
+}
+
 TEST(FusedKernelLockstep, SixteenWaysHashed)
 {
-    // The AVX2 probe and argmin rows on hosts that have them.
+    // One vector chunk per row.
     runLockstep({16, 64, true, 4}, 103);
 }
 
@@ -323,7 +347,15 @@ TEST(FusedKernelLockstep, SixteenWaysBitSelected)
 
 TEST(FusedKernelLockstep, ThirtyTwoWaysHashedNonPowerOfTwoSets)
 {
+    // Table I's associativity: two vector chunks per row.
     runLockstep({32, 24, true, 3}, 109);
+    runLockstep({32, 32, false, 4}, 149);
+}
+
+TEST(FusedKernelLockstep, FortyEightWaysThreeChunks)
+{
+    // Three chunks: a 48-byte rank row that can straddle a line.
+    runLockstep({48, 16, true, 4}, 151);
 }
 
 TEST(FusedKernelLockstep, SixtyFourWaysFullMask)

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "partition/ideal_partition.h"
 #include "partition/partitioned_cache.h"
 #include "partition/set_partition.h"
@@ -17,6 +19,7 @@
 #include "policy/lru.h"
 #include "policy/policy_factory.h"
 #include "tests/test_util.h"
+#include "util/rng.h"
 
 namespace talus {
 namespace {
@@ -259,6 +262,98 @@ TEST(Vantage, PromotionRecoversUnmanagedLines)
     }
     EXPECT_LE(v->occupancy(0), 64u + cfg.numWays);
     EXPECT_EQ(v->occupancy(0), cache.countLines(0));
+}
+
+/** The double-divide order VantageScheme used before
+ *  moreOverTarget(): occ / target, a zero target scored 1e18, and the
+ *  earlier first way winning ties. */
+bool
+doubleDivideOrder(uint64_t occ_a, uint64_t tgt_a, uint32_t first_a,
+                  uint64_t occ_b, uint64_t tgt_b, uint32_t first_b)
+{
+    const auto ratio = [](uint64_t occ, uint64_t tgt) {
+        return tgt == 0 ? 1e18
+                        : static_cast<double>(occ) /
+                              static_cast<double>(tgt);
+    };
+    const double ra = ratio(occ_a, tgt_a);
+    const double rb = ratio(occ_b, tgt_b);
+    return ra > rb || (ra == rb && first_a < first_b);
+}
+
+TEST(Vantage, MoreOverTargetEdgeCases)
+{
+    constexpr uint64_t kMax = kVantageMaxLines - 1;
+    // A zero target is +infinity: above any finite ratio, whatever
+    // the occupancies, and two zero targets tie on the first way.
+    EXPECT_TRUE(moreOverTarget(1, 0, 9, kMax, 1, 0));
+    EXPECT_FALSE(moreOverTarget(kMax, 1, 0, 1, 0, 9));
+    EXPECT_TRUE(moreOverTarget(1, 0, 2, 7, 0, 3));
+    EXPECT_FALSE(moreOverTarget(7, 0, 3, 1, 0, 2));
+    // Equal ratios in different terms tie on the first way.
+    EXPECT_TRUE(moreOverTarget(2, 4, 1, 3, 6, 5));
+    EXPECT_FALSE(moreOverTarget(3, 6, 5, 2, 4, 1));
+    EXPECT_FALSE(moreOverTarget(0, 5, 4, 0, 9, 4));
+    // The closest distinct ratios at the size bound: x/(x-1) falls as
+    // x grows, so (x-1)/(x-2) is the more over target.
+    EXPECT_TRUE(moreOverTarget(kMax - 1, kMax - 2, 5, kMax, kMax - 1, 0));
+    EXPECT_FALSE(moreOverTarget(kMax, kMax - 1, 0, kMax - 1, kMax - 2, 5));
+}
+
+TEST(Vantage, MoreOverTargetMatchesDoubleDivideOrder)
+{
+    constexpr uint64_t kMax = kVantageMaxLines - 1;
+    const uint64_t edge[] = {0,        1,        2,        3,
+                             kMax / 3, kMax / 2, kMax - 1, kMax};
+    const uint32_t firsts[][2] = {{0, 1}, {1, 0}, {3, 3}};
+    for (uint64_t oa : edge)
+        for (uint64_t ta : edge)
+            for (uint64_t ob : edge)
+                for (uint64_t tb : edge)
+                    for (const auto& f : firsts)
+                        ASSERT_EQ(moreOverTarget(oa, ta, f[0], ob, tb, f[1]),
+                                  doubleDivideOrder(oa, ta, f[0], ob, tb,
+                                                    f[1]))
+                            << oa << "/" << ta << " vs " << ob << "/" << tb;
+
+    Rng rng(0x0CC);
+    for (int i = 0; i < 200000; ++i) {
+        uint64_t oa = rng.below(kMax + 1), ta = rng.below(kMax + 1);
+        uint64_t ob = rng.below(kMax + 1), tb = rng.below(kMax + 1);
+        switch (i % 4) {
+          case 1: {
+            // Equal ratios in different terms.
+            oa = rng.below(1 << 13);
+            ta = rng.below(1 << 13) + 1;
+            const uint64_t k = 1 + rng.below(kMax / std::max(oa, ta));
+            ob = oa * k;
+            tb = ta * k;
+            break;
+          }
+          case 2:
+            // Near-equal large ratios: neighbouring fractions.
+            ta = kMax - rng.below(1 << 10);
+            tb = ta - 1 - rng.below(4);
+            oa = kMax - rng.below(1 << 10);
+            ob = oa - 1 - rng.below(4);
+            break;
+          case 3:
+            // Small values and zero targets.
+            oa = rng.below(8);
+            ta = rng.below(4);
+            ob = rng.below(8);
+            tb = rng.below(4);
+            break;
+          default:
+            break;
+        }
+        const uint32_t fa = static_cast<uint32_t>(rng.below(4));
+        const uint32_t fb = static_cast<uint32_t>(rng.below(4));
+        ASSERT_EQ(moreOverTarget(oa, ta, fa, ob, tb, fb),
+                  doubleDivideOrder(oa, ta, fa, ob, tb, fb))
+            << oa << "/" << ta << " (way " << fa << ") vs " << ob << "/"
+            << tb << " (way " << fb << ")";
+    }
 }
 
 // ------------------------------------------------------------- Ideal

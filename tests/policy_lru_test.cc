@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <utility>
+#include <vector>
+
 #include "cache/fully_assoc_lru.h"
 #include "cache/set_assoc_cache.h"
 #include "policy/lru.h"
@@ -14,6 +19,7 @@
 #include "policy/policy_factory.h"
 #include "policy/random_repl.h"
 #include "tests/test_util.h"
+#include "util/rng.h"
 
 namespace talus {
 namespace {
@@ -95,6 +101,170 @@ TEST(Lru, VictimRespectsCandidateSubset)
     // Oldest overall is 0, but restrict candidates to {2, 3}.
     const uint32_t cands[] = {2, 3};
     EXPECT_EQ(lru.victim(cands, 2), 2u);
+}
+
+TEST(Lru, NeverTouchedWaysTieBreakByWayOrder)
+{
+    // A fresh set ranks its ways in way order, below every touched
+    // way — the order all-zero timestamps with a first-minimum
+    // tie-break gave.
+    LruPolicy lru;
+    lru.init(2, 8);
+    for (uint32_t line = 0; line < 16; ++line)
+        EXPECT_EQ(lru.rank(line), line % 8);
+    const uint32_t all[] = {8, 9, 10, 11, 12, 13, 14, 15};
+    EXPECT_EQ(lru.victim(all, 8), 8u);
+    lru.onInsert(8, 0, 0);
+    EXPECT_EQ(lru.victim(all, 8), 9u);
+    const uint32_t odd[] = {13, 11, 15};
+    EXPECT_EQ(lru.victim(odd, 3), 11u);
+    lru.onHit(11, 0, 0);
+    EXPECT_EQ(lru.victim(odd, 3), 13u);
+    // The other set is untouched.
+    for (uint32_t line = 0; line < 8; ++line)
+        EXPECT_EQ(lru.rank(line), line);
+}
+
+/**
+ * Reference LRU cache: per set, a std::list of ways, MRU first. A
+ * fresh set lists its ways in reverse way order (way 0 is LRU). Fills
+ * take the first invalid way, else the list's back; invalidation
+ * leaves the recency order alone, as SetAssocCache leaves the policy.
+ */
+class ListLruOracle
+{
+  public:
+    ListLruOracle(uint32_t sets, uint32_t ways)
+        : ways_(ways), order_(sets), tags_(size_t{sets} * ways, kNone)
+    {
+        for (auto& order : order_)
+            for (uint32_t w = 0; w < ways; ++w)
+                order.push_front(w);
+    }
+
+    /** One access; returns {hit, way}. */
+    std::pair<bool, uint32_t> access(uint32_t set, Addr addr)
+    {
+        const uint32_t base = set * ways_;
+        for (uint32_t w = 0; w < ways_; ++w) {
+            if (tags_[base + w] == addr) {
+                touch(set, w);
+                return {true, w};
+            }
+        }
+        uint32_t way = ways_;
+        for (uint32_t w = 0; w < ways_ && way == ways_; ++w) {
+            if (tags_[base + w] == kNone)
+                way = w;
+        }
+        if (way == ways_)
+            way = order_[set].back();
+        tags_[base + way] = addr;
+        touch(set, way);
+        return {false, way};
+    }
+
+    void invalidate(uint32_t set, uint32_t way)
+    {
+        tags_[set * ways_ + way] = kNone;
+    }
+
+    /** Rank of @p way: ways-1 for the MRU way, 0 for the LRU one. */
+    uint32_t rank(uint32_t set, uint32_t way) const
+    {
+        uint32_t pos = 0;
+        for (uint32_t w : order_[set]) {
+            if (w == way)
+                break;
+            ++pos;
+        }
+        return ways_ - 1 - pos;
+    }
+
+    /** The least recently used of @p ways (all in @p set). */
+    uint32_t lruOf(uint32_t set, const std::vector<uint32_t>& ways) const
+    {
+        for (auto it = order_[set].rbegin(); it != order_[set].rend();
+             ++it) {
+            if (std::find(ways.begin(), ways.end(), *it) != ways.end())
+                return *it;
+        }
+        return ways_;
+    }
+
+  private:
+    static constexpr Addr kNone = ~0ull;
+
+    void touch(uint32_t set, uint32_t way)
+    {
+        order_[set].remove(way);
+        order_[set].push_front(way);
+    }
+
+    uint32_t ways_;
+    std::vector<std::list<uint32_t>> order_;
+    std::vector<Addr> tags_;
+};
+
+TEST(Lru, RanksMatchListOracleOnRandomTraces)
+{
+    constexpr uint32_t kSets = 4;
+    for (uint32_t ways : {1u, 7u, 16u, 32u, 64u, 256u}) {
+        SCOPED_TRACE(testing::Message() << ways << " ways");
+        SetAssocCache::Config cfg;
+        cfg.numSets = kSets;
+        cfg.numWays = ways;
+        SetAssocCache cache(cfg, std::make_unique<LruPolicy>());
+        auto& lru = static_cast<LruPolicy&>(cache.policy());
+        ListLruOracle oracle(kSets, ways);
+        Rng rng(0x1A0 + ways);
+        const uint64_t span = uint64_t{2} * kSets * ways + 1;
+        for (int op = 0; op < 6000; ++op) {
+            const uint64_t kind = rng.below(10);
+            if (kind < 7) {
+                const Addr addr = rng.below(span);
+                const uint32_t set = static_cast<uint32_t>(addr % kSets);
+                const auto [hit, way] = oracle.access(set, addr);
+                ASSERT_EQ(cache.access(addr), hit) << "op " << op;
+                ASSERT_EQ(cache.probe(addr), int64_t{set * ways + way})
+                    << "op " << op;
+            } else if (kind < 8) {
+                const uint32_t set =
+                    static_cast<uint32_t>(rng.below(kSets));
+                const uint32_t way = static_cast<uint32_t>(rng.below(ways));
+                oracle.invalidate(set, way);
+                cache.invalidateLine(set * ways + way);
+            } else {
+                // victim() over a random candidate subset of one set,
+                // listed in way order as the schemes pass them.
+                const uint32_t set =
+                    static_cast<uint32_t>(rng.below(kSets));
+                std::vector<uint32_t> ways_in, lines;
+                for (uint32_t w = 0; w < ways; ++w) {
+                    if (rng.below(3) == 0) {
+                        ways_in.push_back(w);
+                        lines.push_back(set * ways + w);
+                    }
+                }
+                if (lines.empty())
+                    continue;
+                ASSERT_EQ(lru.victim(lines.data(),
+                                     static_cast<uint32_t>(lines.size())),
+                          set * ways + oracle.lruOf(set, ways_in))
+                    << "op " << op;
+            }
+        }
+        for (uint32_t set = 0; set < kSets; ++set) {
+            std::vector<bool> seen(ways, false);
+            for (uint32_t w = 0; w < ways; ++w) {
+                const uint32_t r = lru.rank(set * ways + w);
+                ASSERT_EQ(r, oracle.rank(set, w))
+                    << "set " << set << " way " << w;
+                ASSERT_FALSE(seen[r]) << "set " << set << " rank " << r;
+                seen[r] = true;
+            }
+        }
+    }
 }
 
 TEST(Nru, PrefersUnreferenced)
