@@ -344,14 +344,15 @@ BENCHMARK(BM_ShardedBatchedAccess)
     ->UseRealTime();
 
 /**
- * Pipelined vs serial dispatch on batches spanning several
- * kPipelineBlock blocks (the only shape where the double-buffered
- * scatter can engage): one worker thread, so the overlap measured is
- * precisely "caller scatters block k+1 while the worker drains block
- * k". pipeline:0 is the serial scatter-then-wait reference of the
- * same configuration. On single-core hosts the two rows converge (the
- * caller and worker time-slice); compare_bench.py only enforces
- * pipeline:1 >= pipeline:0 on hosts with >= 2 CPUs.
+ * Pipelined dispatch on batches spanning several kPipelineBlock
+ * blocks (the only shape where the double-buffered scatter engages):
+ * one worker thread, so the overlap measured is precisely "caller
+ * scatters block k+1 while the worker drains block k". The reference
+ * is BM_ShardedBatchedAccess/shards:4/threads:1, the same engine and
+ * geometry dispatched one kPipelineBlock-sized batch at a time. On
+ * single-core hosts the two converge (the caller and worker
+ * time-slice); compare_bench.py only enforces pipelined >= that row
+ * on hosts with >= 2 CPUs.
  */
 void
 BM_ShardedPipelinedAccess(benchmark::State& state)
@@ -362,7 +363,6 @@ BM_ShardedPipelinedAccess(benchmark::State& state)
     cfg.shard.llcLines = 16384 / 4;
     cfg.numShards = 4;
     cfg.threads = 1;
-    cfg.pipelineDispatch = state.range(0) != 0;
     ShardedTalusCache cache(cfg);
     const std::vector<Addr> addrs = facadeBenchAddrs();
     size_t off = 0;
@@ -374,11 +374,7 @@ BM_ShardedPipelinedAccess(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(kBatch));
 }
-BENCHMARK(BM_ShardedPipelinedAccess)
-    ->ArgName("pipeline")
-    ->Arg(0)
-    ->Arg(1)
-    ->UseRealTime();
+BENCHMARK(BM_ShardedPipelinedAccess)->UseRealTime();
 
 /**
  * Replays a prebuilt power-of-two address buffer, cycling forever —

@@ -20,15 +20,14 @@
  *
  * Build & run:  ./build/examples/serving_bench
  *               [--shards=N] [--threads=N] [--accesses=N]
- *               [--reconfig=N] [--pipeline=0|1]
- *               [--monitor-sample=N] [--csv] [--metrics=PATH]
+ *               [--reconfig=N] [--monitor-sample=N] [--csv]
+ *               [--metrics=PATH]
  *
  * Serving defaults to sampled monitoring (period
  * kServingMonitorSamplePeriod = 8): throughput is the product here,
  * and period-8 curves are statistically plenty for the control
  * plane. Pass --monitor-sample=1 to restore exact (figure-grade)
- * monitoring. --pipeline=0 disables the double-buffered scatter for
- * A/B runs.
+ * monitoring.
  *
  * With --metrics=PATH (or TALUS_METRICS), the engine and harness
  * publish into the global metric registry — per-shard hit/miss
@@ -62,7 +61,6 @@ main(int argc, char** argv)
     cfg.shard.metricsEnabled = env.metricsWanted();
     cfg.shard.monitorSamplePeriod =
         env.monitorSampleOr(kServingMonitorSamplePeriod);
-    cfg.pipelineDispatch = env.pipeline;
 
     ServingOptions serve;
     serve.accesses = env.measureAccesses * 4;
@@ -81,15 +79,13 @@ main(int argc, char** argv)
 
     std::printf("serving bench: %llu accesses/run (+%llu warmup "
                 "batches), zipf(0.9) over %llu keys, %llu-line "
-                "shards, batch %llu, monitor period %u, pipeline "
-                "%s\n\n",
+                "shards, batch %llu, monitor period %u\n\n",
                 static_cast<unsigned long long>(serve.accesses),
                 static_cast<unsigned long long>(serve.warmupBatches),
                 static_cast<unsigned long long>(universe),
                 static_cast<unsigned long long>(cfg.shard.llcLines),
                 static_cast<unsigned long long>(serve.batchSize),
-                cfg.shard.monitorSamplePeriod,
-                cfg.pipelineDispatch ? "on" : "off");
+                cfg.shard.monitorSamplePeriod);
 
     // --- Closed loop: peak throughput + service-latency percentiles.
     Table closed("Closed-loop serving (one outstanding batch)",

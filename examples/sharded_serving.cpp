@@ -5,8 +5,8 @@
  *
  * ShardedTalusCache hash-partitions the address space (seeded H3,
  * shard/shard_router.h) across N fully independent TalusCache shards
- * and executes batches scatter-dispatch-gather on a fixed worker
- * pool. Because shards share no state, every shard's hit/miss
+ * and executes batches scatter-dispatch-gather on persistent
+ * shard-pinned workers. Because shards share no state, every shard's hit/miss
  * sequence is bit-exact for any thread count — threads buy
  * wall-clock, never different answers. This example sweeps shard and
  * thread counts over one Zipf-skewed workload, prints the measured
@@ -16,13 +16,13 @@
  * shard's monitor -> hull -> allocate -> configure loop runs (in
  * accesses), and the final section demonstrates the epoch-deferred
  * mode — reconfigureAllAtEpoch() computes every shard's control step
- * concurrently but applies each shard's new configuration at a fixed
+ * on its owning worker but applies each shard's new configuration at a fixed
  * access-count boundary, so the result stays bit-exact for any
  * thread count.
  *
  * Build & run:  ./build/examples/sharded_serving
  *               [--shards=N] [--threads=N] [--accesses=N]
- *               [--reconfig=N] [--pipeline=0|1] [--csv]
+ *               [--reconfig=N] [--csv]
  */
 
 #include <cstdio>
@@ -50,7 +50,6 @@ main(int argc, char** argv)
     cfg.shard.reconfigInterval =
         env.reconfig > 0 ? env.reconfig : 50'000;
     cfg.shard.seed = env.seed;
-    cfg.pipelineDispatch = env.pipeline;
 
     ShardedReplayOptions replay;
     replay.accesses = env.measureAccesses * 4;

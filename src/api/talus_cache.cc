@@ -287,29 +287,6 @@ uint64_t
 TalusCache::accessBatch(Span<const Addr> addrs, PartId part)
 {
     talus_assert(part < cfg_.numParts, "bad logical partition ", part);
-    if (addrs.size() == 1) {
-        // The serial facade (access() delegates blocks of one here).
-        // A single access never spans a chunk boundary — the loop
-        // below would compute chunk == 1 — so skip the carving and
-        // run the same operations straight-line.
-        const Addr* p = addrs.data();
-        if (cfg_.monitoring)
-            feedMonitor(part, p, 1);
-        const uint64_t hit =
-            cfg_.talus ? ctl_->accessBlock(p, 1, part)
-                       : plain_->accessBatchUniform(p, 1, part);
-        intervalAccesses_[part]++;
-        sinceReconfig_++;
-        accessCount_++;
-        if (obs_)
-            obsOnBatch(part, 1, hit);
-        if (applyAt_ != 0 && accessCount_ >= applyAt_)
-            applyReconfigure();
-        if (cfg_.reconfigInterval > 0 &&
-            sinceReconfig_ >= cfg_.reconfigInterval)
-            reconfigure();
-        return hit;
-    }
     uint64_t hits = 0;
     const Addr* p = addrs.data();
     uint64_t left = addrs.size();

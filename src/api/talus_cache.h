@@ -180,10 +180,10 @@ class TalusCache
      * straight-line here with zero out-of-line calls — the monitor's
      * H3 + integer sample compare, the router's limit compare (or the
      * saturated-limit shortcut), and accessFused1() are all header-
-     * inline. Bit-exact with the generic accessBatch() block-of-one
-     * path: the same operations in the same order, including the
-     * deferred-apply and automatic-reconfiguration checks after the
-     * access. Every other configuration (plain caches, non-LRU
+     * inline. Bit-exact with accessBatch() on a block of one (a
+     * single chunk): the same operations in the same order, including
+     * the deferred-apply and automatic-reconfiguration checks after
+     * the access. Every other configuration (plain caches, non-LRU
      * policies, metrics on) delegates to accessBatch() as before.
      */
     bool access(Addr addr, PartId part = 0)

@@ -26,11 +26,16 @@ cpuRelax()
 // Empty polls before a worker stops spinning and starts yielding
 // (~a microsecond of PAUSE loops: long enough to bridge the gap
 // between back-to-back batches, short enough not to burn a core), and
-// yields before it parks on its condition variable. The caller's
-// completion wait uses the same spin budget but never parks — the
-// next thing it does is return to the producer loop anyway.
+// yields before it parks on its condition variable.
 constexpr int kSpinPolls = 4096;
 constexpr int kYieldPolls = 64;
+
+// Polls before the caller's completion wait parks. Short: the caller
+// has nothing to run meanwhile, and with as many workers as cores a
+// spinning caller holds the core a worker with queued tasks needs
+// (8-shard reconfigureAll on 4 workers and 4 CPUs: ~130 us spinning
+// for the full worker budget vs ~25 us parking after 64 polls).
+constexpr int kWaitSpinPolls = 64;
 
 } // namespace
 
@@ -150,16 +155,28 @@ PinnedWorkers::wait()
 {
     if (threads_.empty())
         return;
-    // Completion wait: spin, then yield (on oversubscribed hosts the
-    // yields are what let the workers run at all). The acquire pairs
-    // with each worker's release fetch_sub, so every task's writes —
-    // per-shard hit slots, cache state — are visible on return.
-    int idle = 0;
-    while (pending_.load(std::memory_order_acquire) != 0) {
-        if (++idle < kSpinPolls)
-            cpuRelax();
-        else
-            std::this_thread::yield();
+    // Completion wait: spin briefly, then park until the worker that
+    // finishes the last task wakes us. The acquire pairs with each
+    // worker's release fetch_sub, so every task's writes — per-shard
+    // hit slots, cache state — are visible on return.
+    for (int idle = 0; idle < kWaitSpinPolls &&
+                       pending_.load(std::memory_order_acquire) != 0;
+         ++idle)
+        cpuRelax();
+    if (pending_.load(std::memory_order_acquire) != 0) {
+        // Park: flag, fence, recheck — the mirror of the worker's
+        // parking protocol, paired with the fence after the last
+        // fetch_sub in workerLoop(), so the final decrement can never
+        // slip past both our recheck and its notify.
+        callerParked_.store(true, std::memory_order_relaxed);
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+        {
+            std::unique_lock<std::mutex> lock(doneMu_);
+            doneCv_.wait(lock, [this] {
+                return pending_.load(std::memory_order_acquire) == 0;
+            });
+        }
+        callerParked_.store(false, std::memory_order_relaxed);
     }
     dispatching_.store(false, std::memory_order_release);
 }
@@ -173,7 +190,15 @@ PinnedWorkers::workerLoop(Worker& w)
         if (w.ring.tryPop(task)) {
             idle = 0;
             exec_(task);
-            pending_.fetch_sub(1, std::memory_order_release);
+            if (pending_.fetch_sub(1, std::memory_order_release) == 1) {
+                // Last task of the dispatch: wake the caller if it
+                // parked (fence pairs with the one in wait()).
+                std::atomic_thread_fence(std::memory_order_seq_cst);
+                if (callerParked_.load(std::memory_order_relaxed)) {
+                    std::lock_guard<std::mutex> lock(doneMu_);
+                    doneCv_.notify_one();
+                }
+            }
             continue;
         }
         if (stop_.load(std::memory_order_acquire))

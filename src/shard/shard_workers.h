@@ -1,22 +1,22 @@
 /**
  * @file
  * PinnedWorkers: persistent shard-pinned worker threads fed through
- * bounded SPSC rings — the serving engine's data-path dispatcher.
+ * bounded SPSC rings — the serving engine's one dispatcher, for data
+ * and control steps alike.
  *
- * WorkerPool (shard/worker_pool.h) dispatches a batch by locking a
- * mutex, bumping a generation, waking every worker, and waiting for
- * straggler quiescence; per batch that handshake (plus a
- * std::function rebuild) costs on the order of the work itself, which
- * is why threaded sharding used to scale *negatively*. This
- * dispatcher inverts the model, the way production cache servers do
- * (Apache Traffic Server pins continuations to persistent per-core
- * event threads rather than re-forming a thread team per request):
+ * A pool that re-forms a thread team per batch (lock a mutex, bump a
+ * generation, wake every worker, wait for stragglers) pays a
+ * handshake on the order of the work itself, which is why threaded
+ * sharding once scaled *negatively*. This dispatcher inverts the
+ * model, the way production cache servers do (Apache Traffic Server
+ * pins continuations to persistent per-core event threads rather
+ * than re-forming a thread team per request):
  *
  *  - Each worker thread permanently owns a fixed subset of shards
  *    (shard s belongs to worker s % threads). Only that thread ever
- *    touches those shards' caches on the data path, so per-shard
- *    state needs no locking and outputs can go to per-shard slots
- *    with no cross-worker write contention.
+ *    touches those shards' caches — sub-batches and control steps
+ *    alike — so per-shard state needs no locking, and outputs can go
+ *    to per-shard slots with no cross-worker write contention.
  *  - Work arrives as plain ShardTask descriptors through a per-worker
  *    SPSC ring (shard/spsc_ring.h): dispatching a batch is one ring
  *    push per non-empty shard plus one atomic pending-counter, no
@@ -26,6 +26,9 @@
  *    mutex only when that worker has actually parked — in the steady
  *    state (batches arriving back-to-back) workers are still polling
  *    when the next descriptor lands and dispatch is wakeup-free.
+ *  - The caller's completion wait spins only a few dozen polls, then
+ *    parks until the worker that finishes the last task wakes it, so
+ *    a waiting caller never holds a core a worker needs.
  *
  * Determinism: pinning fixes which thread runs each shard, and each
  * ring preserves FIFO order, so per-shard execution order is exactly
@@ -55,13 +58,25 @@ class Counter;
 class Gauge;
 class MetricRegistry;
 
-/** One unit of data-path work: a shard plus its sub-batch. */
+/** What a ShardTask asks its shard to do. */
+enum class ShardOp : uint8_t
+{
+    Access,             //!< Drive the sub-batch through the shard.
+    Reconfigure,        //!< One synchronous control step.
+    ReconfigureAtEpoch, //!< Prepare now, apply at the next multiple
+                        //!< of count accesses.
+};
+
+/** One unit of work for one shard: a sub-batch or a control step. */
 struct ShardTask
 {
     uint32_t shard = 0;         //!< Target shard index.
+    ShardOp op = ShardOp::Access;
     const Addr* data = nullptr; //!< Sub-batch base. Borrowed: must stay
                                 //!< valid until dispatch() returns.
-    uint64_t count = 0;         //!< Addresses in the sub-batch.
+    uint64_t count = 0;         //!< Addresses in the sub-batch; the
+                                //!< epoch length for
+                                //!< ReconfigureAtEpoch.
     PartId part = 0;            //!< Logical partition of the batch.
 };
 
@@ -182,6 +197,11 @@ class PinnedWorkers
     std::atomic<uint64_t> pending_{0}; //!< Tasks in flight.
     std::atomic<bool> stop_{false};
     std::atomic<bool> dispatching_{false}; //!< Reentrancy trap.
+    // The caller's parking gear for wait(): set while it sleeps on
+    // doneCv_, which the worker finishing the last task notifies.
+    std::atomic<bool> callerParked_{false};
+    std::mutex doneMu_;
+    std::condition_variable doneCv_;
 };
 
 } // namespace talus

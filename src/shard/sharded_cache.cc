@@ -31,7 +31,7 @@ resolveRegistry(const TalusCache::Config& shard)
 }
 
 // Validation gate for the member-initializer list: the router and
-// worker pool are constructed before the constructor body runs, so
+// pinned workers are constructed before the constructor body runs, so
 // an invalid config must throw before either sees it.
 const ShardedTalusCache::Config&
 validated(const ShardedTalusCache::Config& config)
@@ -85,15 +85,28 @@ ShardedTalusCache::ShardedTalusCache(const Config& config)
       router_(cfg_.numShards,
               cfg_.routerSeed.value_or(cfg_.shard.seed ^
                                        kRouterSeedSalt)),
-      pool_(cfg_.threads),
       // The executor runs on the shard's pinned worker thread; each
       // shard writes only its own padded hit slot, so per-batch
-      // outputs never contend for a cache line.
+      // outputs never contend for a cache line. Control ops make the
+      // same TalusCache calls the automatic path makes inside
+      // accessBatch, on the same thread.
       workers_(
           cfg_.threads, cfg_.numShards,
           [this](const ShardTask& t) {
-              shardHits_[t.shard].value = shards_[t.shard]->accessBatch(
-                  Span<const Addr>(t.data, t.count), t.part);
+              TalusCache& shard = *shards_[t.shard];
+              switch (t.op) {
+              case ShardOp::Access:
+                  shardHits_[t.shard].value = shard.accessBatch(
+                      Span<const Addr>(t.data, t.count), t.part);
+                  break;
+              case ShardOp::Reconfigure:
+                  shard.reconfigure();
+                  break;
+              case ShardOp::ReconfigureAtEpoch:
+                  shard.prepareReconfigure();
+                  shard.applyReconfigureAtEpoch(t.count);
+                  break;
+              }
           },
           resolveRegistry(cfg_.shard), cfg_.shard.metricsScope)
 {
@@ -126,7 +139,8 @@ ShardedTalusCache::buildTasks(Span<const Addr> addrs, PartId part,
     for (uint32_t s = 0; s < cfg_.numShards; ++s) {
         const uint64_t n = plan.count(s);
         if (n != 0)
-            tasks.push_back(ShardTask{s, plan.shardData(s), n, part});
+            tasks.push_back(ShardTask{s, ShardOp::Access,
+                                      plan.shardData(s), n, part});
     }
 }
 
@@ -145,8 +159,7 @@ ShardedTalusCache::accessBatch(Span<const Addr> addrs, PartId part)
     if (addrs.empty())
         return 0;
     const uint64_t n = addrs.size();
-    if (workers_.threadCount() == 0 || !cfg_.pipelineDispatch ||
-        n <= kPipelineBlock) {
+    if (workers_.threadCount() == 0 || n <= kPipelineBlock) {
         // Unpipelined: one scatter, one blocking dispatch. Also the
         // path for single-block batches, where there is nothing to
         // overlap and the extra wait()/gather bookkeeping would be
@@ -192,27 +205,31 @@ ShardedTalusCache::accessBatch(Span<const Addr> addrs, PartId part)
 }
 
 void
+ShardedTalusCache::dispatchControl(ShardOp op, uint64_t epochLen)
+{
+    // One control task per shard, each run by the shard's owning
+    // worker — the thread that runs its data path — in one dispatch.
+    // A task touches only its own shard's monitors, control plane,
+    // and cache, and the caller serializes against accessBatch (whose
+    // dispatches have all completed), so the steps are race-free by
+    // construction and may reuse the access-task scratch.
+    std::vector<ShardTask>& tasks = tasks_[0];
+    tasks.clear();
+    for (uint32_t s = 0; s < cfg_.numShards; ++s)
+        tasks.push_back(ShardTask{s, op, nullptr, epochLen, 0});
+    workers_.dispatch(tasks.data(), static_cast<uint32_t>(tasks.size()));
+}
+
+void
 ShardedTalusCache::reconfigureAll()
 {
-    // One control step per shard, claimed dynamically by the
-    // WorkerPool. Control stays on the generic pool (not the pinned
-    // data-path workers): steps are rare and heavyweight, so the
-    // pool's handshake cost is irrelevant and its dynamic claiming
-    // load-balances the uneven per-shard compute. Each task touches
-    // only its own shard's monitors, control plane, and cache, and
-    // the caller serializes against accessBatch, so the steps are
-    // race-free by construction.
-    pool_.run(cfg_.numShards,
-              [this](uint32_t s) { shards_[s]->reconfigure(); });
+    dispatchControl(ShardOp::Reconfigure, 0);
 }
 
 void
 ShardedTalusCache::reconfigureAllAtEpoch(uint64_t epochLen)
 {
-    pool_.run(cfg_.numShards, [this, epochLen](uint32_t s) {
-        shards_[s]->prepareReconfigure();
-        shards_[s]->applyReconfigureAtEpoch(epochLen);
-    });
+    dispatchControl(ShardOp::ReconfigureAtEpoch, epochLen);
 }
 
 void

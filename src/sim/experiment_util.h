@@ -50,14 +50,6 @@ struct BenchEnv
                                    //!< a non-1 default (see
                                    //!< monitorSampleOr()) still honor
                                    //!< an explicit --monitor-sample=1.
-    bool pipeline = true;        //!< Double-buffered pipelined batch
-                                 //!< dispatch in the sharded engine
-                                 //!< (--pipeline=0|1 /
-                                 //!< TALUS_PIPELINE). Maps to
-                                 //!< ShardedTalusCache::Config::
-                                 //!< pipelineDispatch; default on,
-                                 //!< 0 = the serial scatter-then-wait
-                                 //!< dispatch, kept for A/B runs.
     std::string metricsPath;     //!< Dump a global-registry metrics
                                  //!< snapshot here at process exit
                                  //!< (TALUS_METRICS); "" = no dump.
@@ -90,8 +82,8 @@ struct BenchEnv
      * Parses the common bench command line over environment-variable
      * defaults (flags win over env vars). Accepted flags: --csv,
      * --full, --scale=N, --instr=N, --mixes=N, --accesses=N, --seed=N,
-     * --shards=N, --threads=N, --reconfig=N, --pipeline=0|1,
-     * --trace=PATH, and --help/-h (prints usage() and exits 0). Any other `--` argument
+     * --shards=N, --threads=N, --reconfig=N, --trace=PATH, and
+     * --help/-h (prints usage() and exits 0). Any other `--` argument
      * is an error: usage goes to stderr and the process exits 1.
      * --trace/TALUS_TRACE is validated like the shard knobs: a
      * missing, unreadable, or corrupt trace file is a usage error

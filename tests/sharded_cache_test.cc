@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "api/talus.h"
@@ -397,19 +398,29 @@ TEST_P(ShardedMidBatchReconfig, BitExactAcrossThreadCounts)
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ShardedMidBatchReconfig,
                          ::testing::Values(1u, 4u));
 
-TEST(ShardedCache, PoolDispatchedControlStepsMatchInlineSteps)
+/**
+ * (shards, threads): one shard per worker, uneven ownership (8 shards
+ * on 3 workers), and idle workers (4 shards on 6 workers).
+ */
+class ShardedControlDispatch
+    : public ::testing::TestWithParam<std::tuple<uint32_t, uint32_t>>
 {
-    // Explicit reconfigureAll() on a threaded engine (control steps
-    // claimed by pool workers) vs reconfiguring every shard inline on
-    // the caller's thread: shards share no state, so the dispatch
-    // mechanism must not change any result.
-    ShardedTalusCache::Config cfg = engineConfig(4, 0);
+};
+
+TEST_P(ShardedControlDispatch, PoolDispatchedControlStepsMatchInlineSteps)
+{
+    // Explicit reconfigureAll() on a threaded engine (each control
+    // step run by its shard's pinned worker) vs reconfiguring every
+    // shard inline on the caller's thread: shards share no state, so
+    // the dispatch mechanism must not change any result.
+    const auto [shards, threads] = GetParam();
+    ShardedTalusCache::Config cfg = engineConfig(shards, 0);
     cfg.shard.reconfigInterval = 0; // Control is explicit here.
     const std::vector<Addr> addrs = mixedTrace(40'000, 811);
 
     ShardedTalusCache pooled_cfg_engine = [&] {
         ShardedTalusCache::Config c = cfg;
-        c.threads = 4;
+        c.threads = threads;
         return ShardedTalusCache(c);
     }();
     ShardedTalusCache inline_engine(cfg);
@@ -420,7 +431,7 @@ TEST(ShardedCache, PoolDispatchedControlStepsMatchInlineSteps)
             Span<const Addr>(addrs.data() + off, n), 0);
         inline_engine.accessBatch(
             Span<const Addr>(addrs.data() + off, n), 0);
-        pooled_cfg_engine.reconfigureAll(); // WorkerPool dispatch.
+        pooled_cfg_engine.reconfigureAll(); // Pinned-worker dispatch.
         for (uint32_t s = 0; s < cfg.numShards; ++s)
             inline_engine.shard(s).reconfigure(); // Inline steps.
     }
@@ -428,6 +439,45 @@ TEST(ShardedCache, PoolDispatchedControlStepsMatchInlineSteps)
     EXPECT_EQ(pooled_cfg_engine.reconfigurations(),
               inline_engine.reconfigurations());
 }
+
+TEST_P(ShardedControlDispatch, EpochControlStepsMatchInlineSteps)
+{
+    // The epoch-deferred control op against hand-driven steps on the
+    // caller's thread: prepare now, apply at the next multiple of the
+    // epoch — so the dispatched op cannot apply early (or late)
+    // without diverging from the reference.
+    const auto [shards, threads] = GetParam();
+    ShardedTalusCache::Config cfg = engineConfig(shards, 0);
+    cfg.shard.reconfigInterval = 0; // Control is explicit here.
+    const std::vector<Addr> addrs = mixedTrace(45'000, 907);
+
+    ShardedTalusCache::Config threaded_cfg = cfg;
+    threaded_cfg.threads = threads;
+    ShardedTalusCache threaded_engine(threaded_cfg);
+    ShardedTalusCache inline_engine(cfg);
+
+    for (size_t off = 0; off < addrs.size(); off += 9'000) {
+        const size_t n = std::min<size_t>(9'000, addrs.size() - off);
+        threaded_engine.accessBatch(
+            Span<const Addr>(addrs.data() + off, n), 0);
+        inline_engine.accessBatch(
+            Span<const Addr>(addrs.data() + off, n), 0);
+        threaded_engine.reconfigureAllAtEpoch(4'000);
+        for (uint32_t s = 0; s < cfg.numShards; ++s) {
+            inline_engine.shard(s).prepareReconfigure();
+            inline_engine.shard(s).applyReconfigureAtEpoch(4'000);
+        }
+    }
+    expectShardStatesEqual(threaded_engine, inline_engine);
+    EXPECT_GT(inline_engine.reconfigurations(), 0u);
+    EXPECT_EQ(threaded_engine.reconfigurations(),
+              inline_engine.reconfigurations());
+}
+
+INSTANTIATE_TEST_SUITE_P(ShardsAndThreads, ShardedControlDispatch,
+                         ::testing::Values(std::make_tuple(4u, 4u),
+                                           std::make_tuple(8u, 3u),
+                                           std::make_tuple(4u, 6u)));
 
 TEST(ShardedCache, EpochDeferredReconfigureIsThreadCountInvariant)
 {
@@ -472,21 +522,14 @@ TEST(ShardedCache, EpochDeferredReconfigureIsThreadCountInvariant)
 
 // --- Pipelined dispatch (PR 10). --------------------------------------
 
-ShardedTalusCache::Config
-pipelineConfig(uint32_t shards, uint32_t threads, bool pipeline)
-{
-    ShardedTalusCache::Config cfg = engineConfig(shards, threads);
-    cfg.pipelineDispatch = pipeline;
-    return cfg;
-}
-
 /**
- * Double-buffered dispatch vs serial dispatch, thread counts
+ * Double-buffered dispatch vs inline dispatch, thread counts
  * {0, 1, 4}: multi-block ragged batches (block > 2 * kPipelineBlock,
  * not a multiple of it) with the 5'000-access reconfigInterval firing
- * automatic control steps inside every batch. The pipelined path must
- * be bit-exact with the serial scatter-then-wait path AND with the
- * hand-built serial reference.
+ * automatic control steps inside every batch. The pipelined path
+ * (threads > 0) must be bit-exact with the inline engine's one
+ * scatter-then-run path (threads == 0) AND with the hand-built
+ * serial reference.
  */
 class ShardedPipelineDeterminism
     : public ::testing::TestWithParam<uint32_t>
@@ -500,12 +543,11 @@ TEST_P(ShardedPipelineDeterminism, PipelinedMatchesSerialDispatch)
     const size_t block =
         2 * ShardedTalusCache::kPipelineBlock + 1237;
     const ShardTrace pipelined =
-        runSharded(pipelineConfig(4, threads, true), addrs, block);
-    const ShardTrace serial =
-        runSharded(pipelineConfig(4, threads, false), addrs, block);
+        runSharded(engineConfig(4, threads), addrs, block);
+    const ShardTrace serial = runSharded(engineConfig(4, 0), addrs, block);
     expectTracesEqual(pipelined, serial);
     const ShardTrace reference =
-        runHandBuilt(pipelineConfig(4, threads, true), addrs, block);
+        runHandBuilt(engineConfig(4, threads), addrs, block);
     expectTracesEqual(pipelined, reference);
 }
 
@@ -518,15 +560,15 @@ TEST(ShardedCache, PipelinedRaggedAndEmptyBatchesStayExact)
     // a single address, exactly one block (unpipelined by design),
     // one block plus one (the smallest pipelined batch), whole
     // multiples, and ragged multi-block sizes — driven in sequence
-    // through a pipelined threaded engine and a serial inline one.
+    // through a pipelined threaded engine and an inline one.
     const std::vector<Addr> addrs = mixedTrace(45'000, 1607);
     const uint64_t kB = ShardedTalusCache::kPipelineBlock;
     const std::vector<uint64_t> lens = {0,      1,           kB,
                                         kB + 1, 3 * kB,      5,
                                         2 * kB + 777, 4 * kB};
     for (uint32_t threads : {1u, 4u}) {
-        ShardedTalusCache on(pipelineConfig(4, threads, true));
-        ShardedTalusCache off(pipelineConfig(4, 0, false));
+        ShardedTalusCache on(engineConfig(4, threads));
+        ShardedTalusCache off(engineConfig(4, 0));
         size_t pos = 0;
         for (uint64_t len : lens) {
             len = std::min<uint64_t>(len, addrs.size() - pos);
@@ -547,7 +589,7 @@ TEST(ShardedCache, PipelinedSingleHotShardLeavesOthersEmpty)
     // in any pipeline block: the skip-empty-shard task building and
     // the gather-only-touched-slots accounting are both on trial
     // across block boundaries.
-    ShardedTalusCache probe(pipelineConfig(8, 0, true));
+    ShardedTalusCache probe(engineConfig(8, 0));
     const ShardRouter& router = probe.router();
     Rng rng(1709);
     std::vector<Addr> hot;
@@ -556,10 +598,9 @@ TEST(ShardedCache, PipelinedSingleHotShardLeavesOthersEmpty)
         if (router.route(a) == 3)
             hot.push_back(a);
     }
-    const ShardTrace pipelined =
-        runSharded(pipelineConfig(8, 3, true), hot, 9419);
+    const ShardTrace pipelined = runSharded(engineConfig(8, 3), hot, 9419);
     const ShardTrace reference =
-        runHandBuilt(pipelineConfig(8, 3, true), hot, 9419);
+        runHandBuilt(engineConfig(8, 3), hot, 9419);
     expectTracesEqual(pipelined, reference);
 }
 
@@ -568,15 +609,13 @@ TEST(ShardedCache, PipelinedEpochDeferredReconfigStaysExact)
     // Epoch-deferred control steps computed between multi-block
     // pipelined batches but applied mid-stream at fixed per-shard
     // access counts — so applications land inside later pipeline
-    // blocks. Pipeline on/off and thread counts must all agree.
-    ShardedTalusCache::Config base = pipelineConfig(4, 0, false);
-    base.shard.reconfigInterval = 0;
+    // blocks. Every thread count must agree with the inline engine,
+    // including uneven ownership (8 shards on 3 workers).
     const std::vector<Addr> addrs = mixedTrace(45'000, 1801);
 
-    auto run = [&](uint32_t threads, bool pipeline) {
-        ShardedTalusCache::Config cfg = base;
-        cfg.threads = threads;
-        cfg.pipelineDispatch = pipeline;
+    auto run = [&](uint32_t shards, uint32_t threads) {
+        ShardedTalusCache::Config cfg = engineConfig(shards, threads);
+        cfg.shard.reconfigInterval = 0;
         ShardedTalusCache engine(cfg);
         for (size_t off = 0; off < addrs.size(); off += 13'000) {
             const size_t n =
@@ -594,11 +633,11 @@ TEST(ShardedCache, PipelinedEpochDeferredReconfigStaysExact)
         return fingerprint;
     };
 
-    const std::vector<uint64_t> reference = run(0, false);
-    EXPECT_EQ(run(0, true), reference);
-    EXPECT_EQ(run(1, true), reference);
-    EXPECT_EQ(run(4, true), reference);
-    EXPECT_EQ(run(4, false), reference);
+    const std::vector<uint64_t> reference = run(4, 0);
+    EXPECT_GT(reference[2], 0u); // Shard 0 applied at least once.
+    EXPECT_EQ(run(4, 1), reference);
+    EXPECT_EQ(run(4, 4), reference);
+    EXPECT_EQ(run(8, 3), run(8, 0));
 }
 
 TEST(ShardedCache, MissRatioAndStatsShareResetWindows)
