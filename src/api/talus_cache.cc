@@ -188,15 +188,6 @@ TalusCache::TalusCache(const Config& config) : cfg_(config)
         FairAllocator fair;
         ctl_->configure(
             flat, fair.allocate(flat, ctl_->cache().capacityLines(), 1));
-
-        // Arm the flattened serial fast path (see access()) when the
-        // physical cache runs the fused kernel and metrics are off.
-        if (!cfg_.metricsEnabled) {
-            auto* sc =
-                dynamic_cast<SchemePartitionedCache*>(&ctl_->cache());
-            if (sc != nullptr && sc->fusedKernelActive())
-                fast_ = sc;
-        }
     } else {
         plain_ = makePartitionedCache(cfg_.scheme, cfg_.llcLines,
                                       cfg_.ways, cfg_.policyName,
@@ -255,12 +246,11 @@ TalusCache::TalusCache(const Config& config) : cfg_(config)
 TalusCache::~TalusCache() = default;
 
 void
-TalusCache::feedMonitor(PartId part, const Addr* addrs, uint64_t n)
+TalusCache::feedMonitorSlow(PartId part, const Addr* addrs, uint64_t n)
 {
     CombinedUMon& mon = monitors_[part];
     if (cfg_.monitorSamplePeriod == 1) {
-        if (obs_)
-            obs_->parts[part].monSamples->inc(n);
+        obs_->parts[part].monSamples->inc(n);
         mon.accessBlock(Span<const Addr>(addrs, n));
         return;
     }
@@ -301,31 +291,9 @@ TalusCache::accessBatch(Span<const Addr> addrs, PartId part)
                 chunk, cfg_.reconfigInterval - sinceReconfig_);
         if (applyAt_ != 0)
             chunk = std::min<uint64_t>(chunk, applyAt_ - accessCount_);
-        // Monitor pass, then access pass. The monitors never read the
-        // cache and the cache never reads the monitors during
-        // accesses, so splitting the passes reaches the same state as
-        // interleaving per address — and each pass runs branch-light
-        // over a block the hash kernels can pipeline.
-        if (cfg_.monitoring)
-            feedMonitor(part, p, chunk);
-        const uint64_t chunk_hits =
-            cfg_.talus ? ctl_->accessBlock(p, chunk, part)
-                       : plain_->accessBatchUniform(p, chunk, part);
-        hits += chunk_hits;
-        intervalAccesses_[part] += chunk;
-        sinceReconfig_ += chunk;
-        accessCount_ += chunk;
+        hits += serveChunk(p, chunk, part);
         p += chunk;
         left -= chunk;
-        if (obs_)
-            obsOnBatch(part, chunk, chunk_hits);
-        // The deferred (older) configuration applies before any
-        // automatic reconfiguration landing on the same access.
-        if (applyAt_ != 0 && accessCount_ >= applyAt_)
-            applyReconfigure();
-        if (cfg_.reconfigInterval > 0 &&
-            sinceReconfig_ >= cfg_.reconfigInterval)
-            reconfigure();
     }
     return hits;
 }

@@ -118,9 +118,10 @@ class TalusCache
          * true: publish per-partition hit/miss/eviction/occupancy
          * counters, monitor sample counts, and control-plane timing/
          * staleness metrics into a MetricRegistry. false (the
-         * default): zero metrics work — the data path is bit- and
-         * instruction-identical to pre-observability builds (one
-         * never-taken null check per batch).
+         * default): zero metrics work. Selects no code path: on or
+         * off, access() and accessBatch() run the same chunk step,
+         * and off costs a never-taken null check per chunk (a serial
+         * access is a chunk of one).
          */
         bool metricsEnabled = false;
         /** Registry to publish into; null with metricsEnabled uses
@@ -174,54 +175,17 @@ class TalusCache
      * Fires reconfigure() automatically every Config::reconfigInterval
      * accesses (when an allocator is configured).
      *
-     * The common configuration (Talus over the fused Vantage+LRU
-     * kernel, metrics off) takes the flattened fast path: monitor
-     * sample, shadow route, and the single-access kernel probe run
-     * straight-line here with zero out-of-line calls — the monitor's
-     * H3 + integer sample compare, the router's limit compare (or the
-     * saturated-limit shortcut), and accessFused1() are all header-
-     * inline. Bit-exact with accessBatch() on a block of one (a
-     * single chunk): the same operations in the same order, including
-     * the deferred-apply and automatic-reconfiguration checks after
-     * the access. Every other configuration (plain caches, non-LRU
-     * policies, metrics on) delegates to accessBatch() as before.
+     * A chunk of one through accessBatch()'s chunk step, so the two
+     * are bit-exact by construction; it needs no carving, because
+     * both boundaries fire on the access that reaches them. The step
+     * is header-inline down to TalusController::access(), which
+     * routes and probes the fused kernel in at most one call.
      */
     bool access(Addr addr, PartId part = 0)
     {
-        if (fast_ == nullptr)
-            return accessBatch(Span<const Addr>(&addr, 1), part) != 0;
         talus_assert(part < cfg_.numParts, "bad logical partition ",
                      part);
-        if (cfg_.monitoring) {
-            if (cfg_.monitorSamplePeriod == 1) {
-                monitors_[part].accessBlock(
-                    Span<const Addr>(&addr, 1));
-            } else {
-                // The single-access form of feedMonitor's systematic
-                // 1-in-N decimation: sample at phase 0, advance the
-                // phase modulo the period.
-                uint32_t phase = monPhase_[part];
-                if (phase == 0)
-                    monitors_[part].accessBlock(
-                        Span<const Addr>(&addr, 1));
-                monPhase_[part] =
-                    ++phase == cfg_.monitorSamplePeriod ? 0 : phase;
-            }
-        }
-        const ShadowRouter& rt = ctl_->router(part);
-        const PartId phys = rt.alwaysAlpha() || rt.toAlpha(addr)
-                                ? 2 * part
-                                : 2 * part + 1;
-        const bool hit = fast_->accessFused1(addr, phys);
-        intervalAccesses_[part]++;
-        sinceReconfig_++;
-        accessCount_++;
-        if (applyAt_ != 0 && accessCount_ >= applyAt_)
-            applyReconfigure();
-        if (cfg_.reconfigInterval > 0 &&
-            sinceReconfig_ >= cfg_.reconfigInterval)
-            reconfigure();
-        return hit;
+        return serveChunk(&addr, 1, part) != 0;
     }
 
     /**
@@ -388,23 +352,56 @@ class TalusCache
      *  delta, hull vertices, and per-partition targets/rho. */
     void obsOnApply(const ControlOutput& out);
 
-    /** Feeds one chunk to @p part's monitor, applying the 1-in-N
-     *  decimation of Config::monitorSamplePeriod. */
-    void feedMonitor(PartId part, const Addr* addrs, uint64_t n);
+    /**
+     * The chunk step access() and accessBatch() share: @p n accesses
+     * of @p part, none but the last at a reconfiguration or epoch
+     * boundary; the step fires whichever the last reaches. Monitor
+     * pass, then access pass: neither reads the other's state during
+     * accesses, so splitting the passes reaches the same state as
+     * interleaving per address. @return Hits in the chunk.
+     */
+    uint64_t serveChunk(const Addr* addrs, uint64_t n, PartId part)
+    {
+        if (cfg_.monitoring)
+            feedMonitor(part, addrs, n);
+        const uint64_t hits =
+            cfg_.talus ? ctl_->accessBlock(addrs, n, part)
+                       : plain_->accessBatchUniform(addrs, n, part);
+        intervalAccesses_[part] += n;
+        sinceReconfig_ += n;
+        accessCount_ += n;
+        if (obs_)
+            obsOnBatch(part, n, hits);
+        // The deferred (older) configuration applies before any
+        // automatic reconfiguration landing on the same access.
+        if (applyAt_ != 0 && accessCount_ >= applyAt_)
+            applyReconfigure();
+        if (cfg_.reconfigInterval > 0 &&
+            sinceReconfig_ >= cfg_.reconfigInterval)
+            reconfigure();
+        return hits;
+    }
+
+    /** Feeds one chunk to @p part's monitor. The every-access,
+     *  metrics-off case is inline, so a chunk of one reaches
+     *  CombinedUMon::accessBlock()'s inline single-address case. */
+    void feedMonitor(PartId part, const Addr* addrs, uint64_t n)
+    {
+        if (cfg_.monitorSamplePeriod == 1 && obs_ == nullptr)
+            monitors_[part].accessBlock(Span<const Addr>(addrs, n));
+        else
+            feedMonitorSlow(part, addrs, n);
+    }
+
+    /** The rest of feedMonitor(): Config::monitorSamplePeriod's
+     *  1-in-N decimation and the monitor-sample metric. */
+    void feedMonitorSlow(PartId part, const Addr* addrs, uint64_t n);
 
     /** Pushes one committed control output onto the data path. */
     void applyControl(const ControlOutput& out);
 
     Config cfg_;
     std::vector<CombinedUMon> monitors_;
-    /**
-     * Set iff the flattened serial fast path applies: Talus mode over
-     * a SchemePartitionedCache whose fused Vantage+LRU kernel is
-     * active, with metrics off. Points into ctl_'s physical cache
-     * (stable across moves — the controller owns it by unique_ptr);
-     * null routes access() through the generic accessBatch() path.
-     */
-    SchemePartitionedCache* fast_ = nullptr;
     std::unique_ptr<TalusController> ctl_;        //!< Talus mode.
     std::unique_ptr<PartitionedCacheBase> plain_; //!< Baseline mode.
     ControlPlane plane_; //!< Allocator + staged/active control state.

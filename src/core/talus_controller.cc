@@ -28,20 +28,15 @@ TalusController::TalusController(std::unique_ptr<PartitionedCacheBase> phys,
         routers_.back().setRho(1.0); // Everything to alpha until configured.
     }
     shadowCfg_.resize(cfg_.numLogicalParts);
-}
 
-bool
-TalusController::access(Addr addr, PartId part)
-{
-    talus_assert(part < cfg_.numLogicalParts, "bad logical partition ",
-                 part);
-    const PartId phys_part =
-        routers_[part].toAlpha(addr) ? 2 * part : 2 * part + 1;
-    return phys_->access(addr, phys_part);
+    fused_ = dynamic_cast<SchemePartitionedCache*>(phys_.get());
+    if (fused_ != nullptr && !fused_->fusedKernelActive())
+        fused_ = nullptr;
 }
 
 uint64_t
-TalusController::accessBlock(const Addr* addrs, uint64_t n, PartId part)
+TalusController::accessBlockMulti(const Addr* addrs, uint64_t n,
+                                  PartId part)
 {
     talus_assert(part < cfg_.numLogicalParts, "bad logical partition ",
                  part);
@@ -55,12 +50,6 @@ TalusController::accessBlock(const Addr* addrs, uint64_t n, PartId part)
         // alpha). Degenerate partitions — including every partition
         // before its first real configuration — take this path.
         return phys_->accessBatchUniform(addrs, n, 2 * part);
-    }
-    if (n == 1) {
-        // Serial fast path: one hash, one routed access, no scratch.
-        const PartId phys = router.toAlpha(addrs[0]) ? 2 * part
-                                                     : 2 * part + 1;
-        return phys_->accessBatchRouted(addrs, &phys, 1);
     }
     routeHash_.resize(n);
     routeParts_.resize(n);

@@ -57,20 +57,37 @@ class TalusController
     TalusController(std::unique_ptr<PartitionedCacheBase> phys,
                     const Config& config);
 
-    /** Routes and performs one access for logical partition @p part. */
-    bool access(Addr addr, PartId part);
+    /** Routes and performs one access for logical partition @p part.
+     *  Under the fused Vantage+LRU kernel, accessFused1() is inlined
+     *  here, so route plus probe cost at most one call. */
+    bool access(Addr addr, PartId part)
+    {
+        talus_assert(part < cfg_.numLogicalParts, "bad logical partition ",
+                     part);
+        const ShadowRouter& rt = routers_[part];
+        const PartId phys =
+            rt.alwaysAlpha() || rt.toAlpha(addr) ? 2 * part : 2 * part + 1;
+        return fused_ != nullptr ? fused_->accessFused1(addr, phys)
+                                 : phys_->access(addr, phys);
+    }
 
     /**
      * Routes and performs a whole block of accesses for one logical
-     * partition — bit-exact with calling access() per address. The
-     * router's H3 is evaluated once over the block (hashBlock into a
-     * reusable scratch buffer), the alpha/beta decisions become a
-     * physical-partition array, and the physical cache consumes the
-     * block through its batched entry point.
+     * partition — bit-exact with calling access() per address. A
+     * block of one is access(); longer blocks evaluate the router's
+     * H3 once over the block (hashBlock into a reusable scratch
+     * buffer), the alpha/beta decisions become a physical-partition
+     * array, and the physical cache consumes the block through its
+     * batched entry point.
      *
      * @return Number of hits in the block.
      */
-    uint64_t accessBlock(const Addr* addrs, uint64_t n, PartId part);
+    uint64_t accessBlock(const Addr* addrs, uint64_t n, PartId part)
+    {
+        if (n == 1)
+            return access(addrs[0], part);
+        return accessBlockMulti(addrs, n, part);
+    }
 
     /**
      * Pre-processing: convex hulls of monitored miss curves, in the
@@ -94,8 +111,8 @@ class TalusController
     /** Last applied shadow configuration of logical partition @p p. */
     const TalusConfig& configOf(PartId p) const;
 
-    /** The sampling router of logical partition @p p — the flattened
-     *  facade fast path routes inline against it. */
+    /** The sampling router of logical partition @p p, for tests that
+     *  check routing decisions. */
     const ShadowRouter& router(PartId p) const { return routers_[p]; }
 
     /** Effective (quantized) routing rate of partition @p p. */
@@ -118,8 +135,14 @@ class TalusController
     void nextInterval() { phys_->nextInterval(); }
 
   private:
+    /** accessBlock() for n != 1. */
+    uint64_t accessBlockMulti(const Addr* addrs, uint64_t n, PartId part);
+
     Config cfg_;
     std::unique_ptr<PartitionedCacheBase> phys_;
+    /** phys_ when it runs the fused Vantage+LRU kernel, else null.
+     *  Points into phys_'s pointee, so it survives moves. */
+    SchemePartitionedCache* fused_ = nullptr;
     std::vector<ShadowRouter> routers_;
     std::vector<TalusConfig> shadowCfg_;
     std::vector<uint32_t> routeHash_;  //!< accessBlock hash scratch.

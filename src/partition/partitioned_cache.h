@@ -324,13 +324,12 @@ class SchemePartitionedCache : public PartitionedCacheBase
      * generic path's virtual hooks would touch is updated inline, so
      * the state after each access is bit-identical to the generic
      * path's — tests/fused_kernel_lockstep_test.cc holds the two up
-     * against each other access by access. Header-inline so the
-     * TalusCache facade's flattened serial path pays no out-of-line
-     * call for a whole access (monitor sample + route + this probe
-     * run straight-line in the caller); the batched entry points run
-     * the same body in a loop (see fusedBlock()). The row width is
-     * dispatched once here, so each instantiation's body is
-     * straight-line for its geometry.
+     * against each other access by access. Header-inline so
+     * TalusController::access(), the route every serial access
+     * takes, runs route + probe as one body with no further call;
+     * the batched entry points run the same body in a loop (see
+     * fusedBlock()). The row width is dispatched once here, so each
+     * instantiation's body is straight-line for its geometry.
      *
      * Ownership is derived from the per-set masks instead of the
      * lparts/tag arrays (the struct-of-arrays layout the kernel
@@ -383,10 +382,10 @@ class SchemePartitionedCache : public PartitionedCacheBase
      * masks and ctx_ must be current (maskEpoch_ == the cache's
      * mutation epoch).
      *
-     * always_inline because this is the whole point of the flattened
-     * facade path: at ~150 statements GCC's inliner judges the body
-     * too big and emits a call, which reintroduces exactly the
-     * per-access call overhead the facade flattening removed.
+     * always_inline because a serial access must pay at most one
+     * call (into TalusController::access()): at ~150 statements
+     * GCC's inliner judges the body too big and emits a second call
+     * per access.
      */
     template <uint32_t kChunks>
     __attribute__((always_inline)) inline bool

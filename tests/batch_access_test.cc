@@ -113,6 +113,25 @@ TEST(BatchAccess, MatchesSerialForPlainPartitionedBaseline)
     expectBatchMatchesSerial(cfg, randomAddrs(40'000, 8192, 47), 512);
 }
 
+TEST(BatchAccess, MatchesSerialWithMonitorDecimationAcrossReconfigs)
+{
+    // 1-in-4 monitor decimation under automatic reconfigurations whose
+    // interval is not a multiple of the period, so every interval
+    // boundary lands mid-phase. The batched path must carry each
+    // partition's decimation phase across those boundaries exactly as
+    // per-access serving does, or the monitors — and every allocation
+    // after the first reconfiguration — diverge.
+    TalusCache::Config cfg;
+    cfg.llcLines = 4096;
+    cfg.ways = 16;
+    cfg.numParts = 1;
+    cfg.allocatorName = "HillClimb";
+    cfg.reconfigInterval = 7'777;
+    cfg.monitorSamplePeriod = 4;
+    cfg.seed = 5;
+    expectBatchMatchesSerial(cfg, randomAddrs(60'000, 8192, 79), 4096);
+}
+
 TEST(BatchAccess, OddBatchSizesAndEmptySpansAreSafe)
 {
     TalusCache::Config cfg;

@@ -414,6 +414,29 @@ TEST(CacheObsTest, MetricsOffIsBitIdentical)
         ASSERT_EQ(on.accessBatch(span, 0), off.accessBatch(span, 0));
     }
     EXPECT_GT(reg.size(), 0u);
+
+    // Serial access() runs the same chunk step with metrics on or
+    // off, at every-access and 1-in-4 monitor sampling: per-access
+    // hits must agree through every automatic reconfiguration.
+    for (const uint32_t period : {1u, 4u}) {
+        SCOPED_TRACE(period);
+        MetricRegistry serial_reg;
+        TalusCache::Config on_cfg = cacheConfig(&serial_reg);
+        TalusCache::Config off_cfg = cacheConfig(nullptr);
+        on_cfg.monitorSamplePeriod = period;
+        off_cfg.monitorSamplePeriod = period;
+        TalusCache serial_on(on_cfg);
+        TalusCache serial_off(off_cfg);
+        for (size_t i = 0; i < addrs.size(); ++i) {
+            const PartId part = static_cast<PartId>(i % 2);
+            ASSERT_EQ(serial_on.access(addrs[i], part),
+                      serial_off.access(addrs[i], part))
+                << "access " << i;
+        }
+        EXPECT_EQ(serial_on.reconfigurations(),
+                  serial_off.reconfigurations());
+        EXPECT_GT(serial_on.reconfigurations(), 0u);
+    }
 }
 
 TEST(CacheObsTest, StalenessAndApplyAgeTrackEpochDeferral)
