@@ -154,6 +154,36 @@ BM_CombinedUMonAccess(benchmark::State& state)
 }
 BENCHMARK(BM_CombinedUMonAccess);
 
+/**
+ * The monitor feed at a served sampling rate. At llcLines 2^17 the
+ * primary samples 0.8% of addresses, so BM_CombinedUMonAccess times
+ * hashing and almost never the tag-array walk; at llcLines 8192 it
+ * samples 12.5%, as in an 8192-line engine. Addresses are shaped like
+ * tenant partitions: Zipf(0.6) keys over 8192 lines at address-space
+ * ids 1-3 (bit 40 and up), one id per 1024-address run, so a block
+ * switches high words mid-block.
+ */
+void
+BM_CombinedUMonTenantAccess(benchmark::State& state)
+{
+    constexpr size_t kBlock = 4096;
+    constexpr size_t kRun = 1024;
+    CombinedUMon::Config cfg;
+    cfg.llcLines = static_cast<uint64_t>(state.range(0));
+    CombinedUMon mon(cfg);
+    std::vector<Addr> addrs(kBlock);
+    for (size_t off = 0; off < kBlock; off += kRun) {
+        const uint32_t tenant = static_cast<uint32_t>(1 + off / kRun % 3);
+        ZipfStream zipf(8192, 0.6, tenant, 31 + off);
+        zipf.nextBlock(addrs.data() + off, kRun);
+    }
+    for (auto _ : state)
+        mon.accessBlock(Span<const Addr>(addrs.data(), addrs.size()));
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(kBlock));
+}
+BENCHMARK(BM_CombinedUMonTenantAccess)->ArgName("llc")->Arg(8192);
+
 TalusCache::Config
 facadeBenchConfig()
 {

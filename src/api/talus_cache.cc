@@ -255,18 +255,17 @@ TalusCache::feedMonitorSlow(PartId part, const Addr* addrs, uint64_t n)
         return;
     }
     // Systematic 1-in-N decimation: the partition's phase counter
-    // picks every Nth access regardless of chunking, so batch and
-    // serial drives observe the identical sub-stream.
+    // (accesses since its last sampled one, mod N) picks every Nth
+    // access regardless of chunking, so batch and serial drives
+    // observe the identical sub-stream. The first pick of this chunk
+    // is the access that brings the phase to 0, then every Nth.
     const uint32_t period = cfg_.monitorSamplePeriod;
-    uint32_t phase = monPhase_[part];
+    const uint32_t phase = monPhase_[part];
     monScratch_.clear();
-    for (uint64_t i = 0; i < n; ++i) {
-        if (phase == 0)
-            monScratch_.push_back(addrs[i]);
-        if (++phase == period)
-            phase = 0;
-    }
-    monPhase_[part] = phase;
+    for (uint64_t i = (period - phase) % period; i < n; i += period)
+        monScratch_.push_back(addrs[i]);
+    monPhase_[part] =
+        static_cast<uint32_t>((phase + n % period) % period);
     if (obs_)
         obs_->parts[part].monSamples->inc(monScratch_.size());
     mon.accessBlock(Span<const Addr>(monScratch_.data(),

@@ -51,16 +51,16 @@ TalusController::accessBlockMulti(const Addr* addrs, uint64_t n,
         // before its first real configuration — take this path.
         return phys_->accessBatchUniform(addrs, n, 2 * part);
     }
-    routeHash_.resize(n);
     routeParts_.resize(n);
-    router.hashFn().hashBlock(Span<const Addr>(addrs, n),
-                              routeHash_.data());
+    PartId* route = routeParts_.data();
     const uint64_t limit = router.limit();
     const PartId alpha = 2 * part;
     const PartId beta = 2 * part + 1;
-    for (uint64_t i = 0; i < n; ++i)
-        routeParts_[i] = routeHash_[i] < limit ? alpha : beta;
-    return phys_->accessBatchRouted(addrs, routeParts_.data(), n);
+    router.hashFn().forEachHash(
+        Span<const Addr>(addrs, n), [=](size_t i, uint32_t h) {
+            route[i] = h < limit ? alpha : beta;
+        });
+    return phys_->accessBatchRouted(addrs, route, n);
 }
 
 std::vector<MissCurve>

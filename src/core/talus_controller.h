@@ -75,8 +75,8 @@ class TalusController
      * Routes and performs a whole block of accesses for one logical
      * partition — bit-exact with calling access() per address. A
      * block of one is access(); longer blocks evaluate the router's
-     * H3 once over the block (hashBlock into a reusable scratch
-     * buffer), the alpha/beta decisions become a physical-partition
+     * H3 once over the block (H3Hash::forEachHash, high word
+     * memoised), its alpha/beta decisions fill a physical-partition
      * array, and the physical cache consumes the block through its
      * batched entry point.
      *
@@ -145,8 +145,7 @@ class TalusController
     SchemePartitionedCache* fused_ = nullptr;
     std::vector<ShadowRouter> routers_;
     std::vector<TalusConfig> shadowCfg_;
-    std::vector<uint32_t> routeHash_;  //!< accessBlock hash scratch.
-    std::vector<PartId> routeParts_;   //!< accessBlock routing scratch.
+    std::vector<PartId> routeParts_; //!< accessBlock routing scratch.
 };
 
 } // namespace talus

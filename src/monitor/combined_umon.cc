@@ -35,48 +35,49 @@ secondaryConfig(const CombinedUMon::Config& c)
 } // namespace
 
 CombinedUMon::CombinedUMon(const Config& config)
-    : cfg_(config), primary_(primaryConfig(config)),
-      secondary_(secondaryConfig(config))
+    : cfg_(config),
+      primary_(primaryConfig(config), UMon::OwnerHashed{}),
+      secondary_(secondaryConfig(config), UMon::OwnerHashed{}),
+      secondaryLimit_(config.coverage > 1 ? secondary_.sampleLimitInt()
+                                          : 0),
+      hash_(UMon::kHashBits, primaryConfig(config).seed,
+            secondaryConfig(config).seed)
 {
     talus_assert(cfg_.coverage >= 1, "coverage must be >= 1");
 }
 
 void
-CombinedUMon::access(Addr addr)
-{
-    primary_.access(addr);
-    if (cfg_.coverage > 1)
-        secondary_.access(addr);
-}
-
-void
 CombinedUMon::accessBlockMulti(Span<const Addr> addrs)
 {
-    const size_t n = addrs.size();
-    if (n == 0)
-        return;
-    hashScratch_.resize(n);
-    uint32_t* h = hashScratch_.data();
-
-    // One fused hash pass per monitor, then a rejection loop that
-    // only calls into the tag array for the sampled minority. The
-    // integer compare is equivalent to the double compare
-    // UMon::access used to run (see sampleLimitInt()), so the
-    // sampled set is bit-identical.
-    primary_.hashFn().hashBlock(addrs, h);
-    const uint64_t primary_limit = primary_.sampleLimitInt();
-    for (size_t i = 0; i < n; ++i) {
-        if (h[i] < primary_limit)
-            primary_.accessSampled(addrs[i], h[i]);
-    }
-
-    if (cfg_.coverage > 1) {
-        secondary_.hashFn().hashBlock(addrs, h);
-        const uint64_t secondary_limit = secondary_.sampleLimitInt();
-        for (size_t i = 0; i < n; ++i) {
-            if (h[i] < secondary_limit)
-                secondary_.accessSampled(addrs[i], h[i]);
-        }
+    // A tile of sample indices per monitor lives on the stack. Each
+    // address's index and hash are written unconditionally and kept
+    // by advancing the count by the compare's outcome, so the random
+    // 1-in-F sampling decision never becomes a branch. The integer
+    // compares sample the same addresses as the double compares of
+    // the sampling definition (see UMon::sampleLimitInt()).
+    constexpr size_t kTile = 256;
+    uint32_t p_idx[kTile], p_h[kTile], s_idx[kTile], s_h[kTile];
+    const uint64_t p_limit = primary_.sampleLimitInt();
+    const uint64_t s_limit = secondaryLimit_;
+    const Addr* a = addrs.data();
+    for (size_t off = 0; off < addrs.size(); off += kTile) {
+        const size_t len = std::min(kTile, addrs.size() - off);
+        size_t kp = 0;
+        size_t ks = 0;
+        hash_.forEachHash(Span<const Addr>(a + off, len),
+                          [&](size_t i, uint64_t h) {
+                              const uint32_t hp = static_cast<uint32_t>(h);
+                              const uint32_t hs =
+                                  static_cast<uint32_t>(h >> 32);
+                              p_idx[kp] = static_cast<uint32_t>(i);
+                              p_h[kp] = hp;
+                              kp += hp < p_limit;
+                              s_idx[ks] = static_cast<uint32_t>(i);
+                              s_h[ks] = hs;
+                              ks += hs < s_limit;
+                          });
+        primary_.accessSampledBlock(a + off, p_idx, p_h, kp);
+        secondary_.accessSampledBlock(a + off, s_idx, s_h, ks);
     }
 }
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "monitor/umon.h"
+#include "util/h3_hash.h"
 #include "util/span.h"
 
 namespace talus {
@@ -38,35 +39,35 @@ class CombinedUMon
 
     explicit CombinedUMon(const Config& config);
 
-    /** Observes one access (both monitors sample internally). */
-    void access(Addr addr);
+    /** Observes one access: a block of one. */
+    void access(Addr addr) { accessBlock(Span<const Addr>(&addr, 1)); }
 
     /**
-     * Observes a whole block of accesses — bit-exact with calling
-     * access() per address, but each monitor's H3 evaluations are
-     * fused into one hashBlock over the block and unsampled addresses
-     * are rejected by the prescaled-threshold compare without ever
-     * entering the monitor call. The two monitors sample independent
-     * slices, so running the primary over the block and then the
-     * secondary reaches the same state as interleaving per address.
+     * Observes a whole block of accesses — bit-exact with feeding each
+     * monitor every address in order. Both monitors' H3 hashes come
+     * from one paired-table evaluation per address (H3Pair), with the
+     * high word memoised across the block; the sampled addresses are
+     * compacted branch-free, and only they walk a tag array. The two
+     * monitors sample independent slices, so running the primary's
+     * samples of a stretch of the block and then the secondary's
+     * reaches the same state as interleaving per address.
      *
      * The single-address case (the serial facade drives one-access
      * blocks per call) stays in the header: its steady-state cost is
-     * the inlined H3 evaluations plus the sample compares, and only
-     * the sampled minority pays the out-of-line tag-array walk.
+     * one inlined paired evaluation plus the two sample compares, and
+     * only the sampled minority pays the out-of-line tag-array walk.
      */
     void accessBlock(Span<const Addr> addrs)
     {
         if (addrs.size() == 1) {
             const Addr a = addrs.data()[0];
-            const uint32_t hp = primary_.hashFn().hash(a);
+            const uint64_t h = hash_.hash(a);
+            const uint32_t hp = static_cast<uint32_t>(h);
+            const uint32_t hs = static_cast<uint32_t>(h >> 32);
             if (hp < primary_.sampleLimitInt())
                 primary_.accessSampled(a, hp);
-            if (cfg_.coverage > 1) {
-                const uint32_t hs = secondary_.hashFn().hash(a);
-                if (hs < secondary_.sampleLimitInt())
-                    secondary_.accessSampled(a, hs);
-            }
+            if (hs < secondaryLimit_)
+                secondary_.accessSampled(a, hs);
             return;
         }
         accessBlockMulti(addrs);
@@ -105,14 +106,18 @@ class CombinedUMon
     uint64_t coveredLines() const;
 
   private:
-    /** The multi-address body of accessBlock: fused hashBlock per
-     *  monitor plus a rejection loop over the block. */
+    /** The multi-address body of accessBlock: paired hashes and
+     *  branch-free sample compaction, a stack tile at a time. */
     void accessBlockMulti(Span<const Addr> addrs);
 
     Config cfg_;
-    UMon primary_;
-    UMon secondary_;
-    std::vector<uint32_t> hashScratch_; //!< accessBlock's hash buffer.
+    UMon primary_;   //!< Owner-hashed: low half of hash_.
+    UMon secondary_; //!< Owner-hashed: high half of hash_.
+    /** The secondary's sample limit, or 0 (never samples) when
+     *  coverage is 1 and the secondary is unused. */
+    uint64_t secondaryLimit_;
+    /** Both monitors' H3 functions in one table: their only copy. */
+    H3Pair hash_;
 };
 
 } // namespace talus

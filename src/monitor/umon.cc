@@ -3,14 +3,22 @@
 #include <algorithm>
 #include <cmath>
 
+#include "cache/lru_rows.h"
 #include "util/log.h"
 
 namespace talus {
 
-UMon::UMon(const Config& config)
-    : cfg_(config), hash_(32, config.seed)
+UMon::UMon(const Config& config) : UMon(config, OwnerHashed{})
+{
+    hash_ = std::make_unique<const H3Hash>(kHashBits, cfg_.seed);
+}
+
+UMon::UMon(const Config& config, OwnerHashed) : cfg_(config)
 {
     talus_assert(cfg_.ways >= 1, "UMON needs at least one way");
+    talus_assert(cfg_.ways <= lru_rows::kMaxWays,
+                 "UMON ways must be at most ", lru_rows::kMaxWays,
+                 ", got ", cfg_.ways);
     talus_assert(cfg_.sets >= 1, "UMON needs at least one set");
     talus_assert(cfg_.modeledLines >= 1, "UMON must model a real cache");
 
@@ -38,45 +46,78 @@ UMon::UMon(const Config& config)
     // hash/2^32 < threshold  <=>  hash < threshold*2^32: scaling by a
     // power of two is exact, so the prescaled compare samples the
     // exact same addresses as the hashUnit() form did.
-    sampleLimit_ =
-        sampleThreshold_ * static_cast<double>(hash_.range());
+    sampleLimit_ = sampleThreshold_ * static_cast<double>(1ull << kHashBits);
     sampleLimitInt_ =
         static_cast<uint64_t>(std::ceil(sampleLimit_));
     setsArePow2_ = (cfg_.sets & (cfg_.sets - 1)) == 0;
     setMask_ = cfg_.sets - 1;
-    tags_.assign(monitor_lines, kInvalidTag);
-    wayHits_.assign(cfg_.ways, 0);
+    chunks_ = lru_rows::chunksFor(cfg_.ways);
+    tags_.resize(monitor_lines);
+    fps_.resize(monitor_lines);
+    ranks_.resize(monitor_lines);
+    wayHits_.resize(cfg_.ways);
+    reset();
+}
+
+template <uint32_t kChunks>
+void
+UMon::walk(Addr addr, uint32_t set)
+{
+    talus_assert(addr != kInvalidTag, kInvalidTagAccessMsg);
+    const uint32_t ways = kChunks > 0 ? 16 * kChunks : cfg_.ways;
+    const size_t base = static_cast<size_t>(set) * ways;
+    uint8_t* rrow = &ranks_[base];
+
+    // Probe the fingerprint row; a match is verified against the
+    // exact tag (tags are unique per set, lowest way first).
+    const uint32_t fp = tagFingerprint(addr);
+    uint64_t m = lru_rows::probeRow<kChunks>(&fps_[base], ways, fp);
+    while (m != 0) {
+        const uint32_t w = static_cast<uint32_t>(__builtin_ctzll(m));
+        if (tags_[base + w] == addr) {
+            // Hit at stack position ways - 1 - rank: this access would
+            // hit in any cache of more monitor-way-equivalents.
+            wayHits_[ways - 1 - rrow[w]]++;
+            lru_rows::touchRow<kChunks>(rrow, ways, w);
+            return;
+        }
+        m &= m - 1;
+    }
+
+    // Miss: fill the LRU way (an empty one while any is left — empty
+    // ways rank below filled ones) and make it MRU.
+    const uint32_t v =
+        lru_rows::argminRow<kChunks>(rrow, ways, lru_rows::waySpan(ways));
+    tags_[base + v] = addr;
+    fps_[base + v] = fp;
+    lru_rows::touchRow<kChunks>(rrow, ways, v);
+}
+
+template <uint32_t kChunks>
+void
+UMon::walkBlock(const Addr* addrs, const uint32_t* idx,
+                const uint32_t* hashes, size_t n)
+{
+    for (size_t j = 0; j < n; ++j)
+        walk<kChunks>(addrs[idx[j]], setOf(hashes[j]));
 }
 
 void
-UMon::accessSampled(Addr addr, uint32_t h)
+UMon::accessSampledBlock(const Addr* addrs, const uint32_t* idx,
+                         const uint32_t* hashes, size_t n)
 {
-    sampled_++;
-
-    const uint32_t set = setsArePow2_ ? (h & setMask_) : (h % cfg_.sets);
-    Addr* way0 = &tags_[static_cast<size_t>(set) * cfg_.ways];
-
-    // Find the address's LRU stack position, if resident.
-    uint32_t pos = cfg_.ways;
-    for (uint32_t w = 0; w < cfg_.ways; ++w) {
-        if (way0[w] == addr) {
-            pos = w;
-            break;
-        }
-    }
-
-    if (pos < cfg_.ways) {
-        // Hit at stack position pos: this access would hit in any
-        // cache of > pos monitor-way-equivalents.
-        wayHits_[pos]++;
-        for (uint32_t w = pos; w > 0; --w)
-            way0[w] = way0[w - 1];
-        way0[0] = addr;
-    } else {
-        // Miss: insert at MRU, dropping the LRU tag.
-        for (uint32_t w = cfg_.ways - 1; w > 0; --w)
-            way0[w] = way0[w - 1];
-        way0[0] = addr;
+    sampled_ += n;
+    switch (chunks_) {
+      case 1:
+        return walkBlock<1>(addrs, idx, hashes, n);
+      case 2:
+        return walkBlock<2>(addrs, idx, hashes, n);
+      case 3:
+        return walkBlock<3>(addrs, idx, hashes, n);
+      case 4:
+        return walkBlock<4>(addrs, idx, hashes, n);
+      default:
+        return walkBlock<0>(addrs, idx, hashes, n);
     }
 }
 
@@ -120,8 +161,11 @@ UMon::decay()
 void
 UMon::reset()
 {
-    tags_.assign(tags_.size(), kInvalidTag);
-    wayHits_.assign(wayHits_.size(), 0);
+    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+    std::fill(fps_.begin(), fps_.end(), tagFingerprint(kInvalidTag));
+    for (size_t l = 0; l < ranks_.size(); ++l)
+        ranks_[l] = static_cast<uint8_t>(l % cfg_.ways);
+    std::fill(wayHits_.begin(), wayHits_.end(), 0);
     sampled_ = 0;
 }
 

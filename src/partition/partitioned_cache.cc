@@ -29,7 +29,8 @@ SchemePartitionedCache::SchemePartitionedCache(
     // The kernel's way scans build 64-bit match masks, so it also
     // requires associativity <= 64 (every real configuration).
     fusedVantage_ = dynamic_cast<VantageScheme*>(cache_.scheme());
-    if (fusedVantage_ != nullptr && cache_.numWays() <= 64 &&
+    if (fusedVantage_ != nullptr &&
+        cache_.numWays() <= lru_rows::kMaxWays &&
         typeid(cache_.policy()) == typeid(LruPolicy))
         fusedLru_ = static_cast<LruPolicy*>(&cache_.policy());
 }
@@ -112,7 +113,7 @@ SchemePartitionedCache::rebuildMasks()
     ctx_.hitRaw = st.hitsRaw();
     ctx_.hashSeed = cache_.hashSeed();
     ctx_.ways = ways;
-    ctx_.chunks = fused1::chunksFor(ways);
+    ctx_.chunks = lru_rows::chunksFor(ways);
     ctx_.sets = sets;
     ctx_.setMask = sets - 1;
     ctx_.nparts = nparts;
@@ -172,7 +173,7 @@ SchemePartitionedCache::fusedBlockOf(const Addr* addrs,
             __builtin_prefetch(&c.fpt[pb], 0);
             __builtin_prefetch(&c.fpt[pb + ways - 1], 0);
             __builtin_prefetch(&c.ranks[pb], 1);
-            if constexpr (fused1::kRankRowMaySplit<kChunks>)
+            if constexpr (lru_rows::kRankRowMaySplit<kChunks>)
                 __builtin_prefetch(&c.ranks[pb + ways - 1], 1);
             __builtin_prefetch(&c.umk[ps], 1);
             __builtin_prefetch(&c.pmk[static_cast<size_t>(ps) * c.nparts],

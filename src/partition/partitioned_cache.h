@@ -21,12 +21,8 @@
 #include <string>
 #include <vector>
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#define TALUS_ROW_SSE2 1
-#endif
-
 #include "cache/cache_stats.h"
+#include "cache/lru_rows.h"
 #include "cache/set_assoc_cache.h"
 #include "partition/vantage.h"
 #include "policy/lru.h"
@@ -104,175 +100,6 @@ class PartitionedCacheBase
     /** Periodic hook forwarded to policies that recompute state. */
     virtual void nextInterval() {}
 };
-
-/**
- * 32-bit fold of a line address, used as a probe fingerprint by the
- * fused kernel: a whole 16-way row of fingerprints fits one cache
- * line, so the common probe touches half the lines the full tag row
- * would. Any fold works — a colliding fingerprint only costs a
- * verification load against the canonical tag, never correctness.
- */
-inline uint32_t
-tagFingerprint(Addr a)
-{
-    return static_cast<uint32_t>(a) ^ static_cast<uint32_t>(a >> 32);
-}
-
-/**
- * Row kernels of the fused Vantage+LRU kernel. Each works on one
- * set's row: 32-bit fingerprints, or 8-bit LRU ranks (LruPolicy's:
- * a permutation of 0..ways-1, 0 = LRU). @p kChunks is the row's
- * width in 16-way chunks, or 0 for the scalar loops; with it fixed at
- * compile time the 16-way bodies are straight-line. The vector bodies
- * use SSE2 only, the x86-64 baseline, so there is no runtime
- * dispatch; targets without SSE2 run the scalar loops at every
- * width. The vector bodies are bit-exact with the scalar loops: the
- * probe is lane-wise equality, the touch is lane-wise arithmetic, and
- * the argmin reduces keys that are unique within a set.
- */
-namespace fused1 {
-
-/** Row width in 16-way chunks, or 0 when @p ways is not a multiple
- *  of 16 (scalar loops). The kernel supports up to 64 ways. */
-constexpr uint32_t
-chunksFor(uint32_t ways)
-{
-    return ways % 16 == 0 ? ways / 16 : 0;
-}
-
-/** True when a rank row can straddle a cache line: 16-, 32- and
- *  64-byte rows tile the line-aligned rank array exactly. */
-template <uint32_t kChunks>
-constexpr bool kRankRowMaySplit =
-    kChunks == 0 || 64 % (16 * kChunks) != 0;
-
-/** Fingerprint-equality mask (bit w = way w) over one row. */
-template <uint32_t kChunks>
-inline uint64_t
-probeRow(const uint32_t* row, uint32_t ways, uint32_t fp)
-{
-#if TALUS_ROW_SSE2
-    if constexpr (kChunks > 0) {
-        const __m128i needle = _mm_set1_epi32(static_cast<int>(fp));
-        uint64_t m = 0;
-        for (uint32_t c = 0; c < kChunks; ++c) {
-            const __m128i* p =
-                reinterpret_cast<const __m128i*>(row + 16 * c);
-            const __m128i e0 =
-                _mm_cmpeq_epi32(_mm_loadu_si128(p), needle);
-            const __m128i e1 =
-                _mm_cmpeq_epi32(_mm_loadu_si128(p + 1), needle);
-            const __m128i e2 =
-                _mm_cmpeq_epi32(_mm_loadu_si128(p + 2), needle);
-            const __m128i e3 =
-                _mm_cmpeq_epi32(_mm_loadu_si128(p + 3), needle);
-            // All-ones/zero lanes survive signed saturation, so two
-            // packing steps leave one 0xFF/0x00 byte per way.
-            const __m128i b = _mm_packs_epi16(_mm_packs_epi32(e0, e1),
-                                              _mm_packs_epi32(e2, e3));
-            m |= static_cast<uint64_t>(
-                     static_cast<uint32_t>(_mm_movemask_epi8(b)))
-                 << (16 * c);
-        }
-        return m;
-    }
-#endif
-    uint64_t m = 0;
-    for (uint32_t w = 0; w < ways; ++w)
-        m |= static_cast<uint64_t>(row[w] == fp) << w;
-    return m;
-}
-
-/**
- * LruPolicy::touchRow() on way @p w of a rank row. The vector body
- * finds w's lane by its rank (unique in the row) and blends the MRU
- * rank in, so the row is written by one store per chunk and the next
- * touch of the set forwards from it.
- */
-template <uint32_t kChunks>
-inline void
-touchRow(uint8_t* row, uint32_t ways, uint32_t w)
-{
-#if TALUS_ROW_SSE2
-    if constexpr (kChunks > 0) {
-        // Ranks are < 64, so signed byte compares order them.
-        const uint32_t r = row[w];
-        const __m128i rv =
-            _mm_set1_epi32(static_cast<int>(r * 0x01010101u));
-        const __m128i mru =
-            _mm_set1_epi8(static_cast<char>(16 * kChunks - 1));
-        for (uint32_t c = 0; c < kChunks; ++c) {
-            __m128i* p = reinterpret_cast<__m128i*>(row + 16 * c);
-            __m128i v = _mm_loadu_si128(p);
-            const __m128i self = _mm_cmpeq_epi8(v, rv);
-            v = _mm_add_epi8(v, _mm_cmpgt_epi8(v, rv));
-            v = _mm_or_si128(_mm_andnot_si128(self, v),
-                             _mm_and_si128(self, mru));
-            _mm_storeu_si128(p, v);
-        }
-        return;
-    }
-#endif
-    LruPolicy::touchRow(row, ways, w);
-}
-
-/**
- * The LRU way among the ways selected by @p m (m != 0) in a rank row.
- * Ranks are unique within a set, so this equals LruPolicy::victim
- * over the selected ways in way order. Each way's key is
- * (rank << 8) | way, with the rank of unselected ways forced to 0x7F
- * (above any real rank); one signed 16-bit min-reduction then leaves
- * the winner's way in the low byte.
- */
-template <uint32_t kChunks>
-inline uint32_t
-argminRow(const uint8_t* row, uint32_t ways, uint64_t m)
-{
-#if TALUS_ROW_SSE2
-    if constexpr (kChunks > 0) {
-        const __m128i bitsel =
-            _mm_setr_epi8(1, 2, 4, 8, 16, 32, 64, -128, 1, 2, 4, 8, 16,
-                          32, 64, -128);
-        const __m128i iota = _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
-                                           10, 11, 12, 13, 14, 15);
-        const __m128i unsel = _mm_set1_epi8(0x7F);
-        __m128i best = _mm_set1_epi16(0x7FFF);
-        for (uint32_t c = 0; c < kChunks; ++c) {
-            // Byte lane i of b = byte i / 8 of this chunk's 16 mask
-            // bits; lane i is selected iff its bit is set there.
-            __m128i b = _mm_cvtsi32_si128(
-                static_cast<int>((m >> (16 * c)) & 0xFFFF));
-            b = _mm_unpacklo_epi8(b, b);
-            b = _mm_unpacklo_epi16(b, b);
-            b = _mm_unpacklo_epi32(b, b);
-            const __m128i sel =
-                _mm_cmpeq_epi8(_mm_and_si128(b, bitsel), bitsel);
-            const __m128i rk = _mm_or_si128(
-                _mm_loadu_si128(
-                    reinterpret_cast<const __m128i*>(row + 16 * c)),
-                _mm_andnot_si128(sel, unsel));
-            const __m128i way = _mm_add_epi8(
-                iota, _mm_set1_epi8(static_cast<char>(16 * c)));
-            best = _mm_min_epi16(best, _mm_unpacklo_epi8(way, rk));
-            best = _mm_min_epi16(best, _mm_unpackhi_epi8(way, rk));
-        }
-        best = _mm_min_epi16(best, _mm_shuffle_epi32(best, 0x4E));
-        best = _mm_min_epi16(best, _mm_shuffle_epi32(best, 0xB1));
-        best = _mm_min_epi16(best, _mm_shufflelo_epi16(best, 0xB1));
-        return static_cast<uint32_t>(_mm_cvtsi128_si32(best)) & 0xFF;
-    }
-#endif
-    uint32_t best = ~0u;
-    for (uint32_t w = 0; w < ways; ++w) {
-        const uint32_t excl = static_cast<uint32_t>((m >> w) & 1) - 1;
-        const uint32_t key =
-            (static_cast<uint32_t>(row[w]) << 8 | w) | excl;
-        best = key < best ? key : best;
-    }
-    return best & 0xFF;
-}
-
-} // namespace fused1
 
 /** A SetAssocCache driven through a PartitionScheme. */
 class SchemePartitionedCache : public PartitionedCacheBase
@@ -378,7 +205,7 @@ class SchemePartitionedCache : public PartitionedCacheBase
     /**
      * The body of accessFused1() for an access whose set index
      * (fusedSetOf(addr)) is already known, over rows of @p kChunks
-     * 16-way chunks (0: ctx_.ways, scalar loops; see fused1). The
+     * 16-way chunks (0: ctx_.ways, scalar loops; see lru_rows). The
      * masks and ctx_ must be current (maskEpoch_ == the cache's
      * mutation epoch).
      *
@@ -396,7 +223,7 @@ class SchemePartitionedCache : public PartitionedCacheBase
         const uint32_t nparts = c.nparts;
         talus_assert(part < nparts, "bad partition id ", part);
         talus_assert(addr != SetAssocCache::kInvalidTag,
-                     "address aliases the invalid-tag sentinel");
+                     kInvalidTagAccessMsg);
         const uint32_t base = set * ways;
         Addr* tags = c.tags;
         uint8_t* rrow = c.ranks + base;
@@ -410,7 +237,7 @@ class SchemePartitionedCache : public PartitionedCacheBase
         // hit/miss branch — hoisted prefetches overlap their latency
         // with the fingerprint probe instead of serializing after it.
         __builtin_prefetch(rrow, 1);
-        if constexpr (fused1::kRankRowMaySplit<kChunks>)
+        if constexpr (lru_rows::kRankRowMaySplit<kChunks>)
             __builtin_prefetch(rrow + ways - 1, 1);
         __builtin_prefetch(&umk[set], 1);
         __builtin_prefetch(&pmk[static_cast<size_t>(set) * nparts], 1);
@@ -423,7 +250,7 @@ class SchemePartitionedCache : public PartitionedCacheBase
         // fold is a function of the address), in which case the full
         // tag row is never read at all.
         const uint32_t fp = tagFingerprint(addr);
-        uint64_t m_fp = fused1::probeRow<kChunks>(fpt + base, ways, fp);
+        uint64_t m_fp = lru_rows::probeRow<kChunks>(fpt + base, ways, fp);
         uint64_t m_match = 0;
         while (m_fp != 0) {
             const uint32_t w =
@@ -446,7 +273,7 @@ class SchemePartitionedCache : public PartitionedCacheBase
                 ~(1ull << inserted);
             if (m == 0)
                 return; // Cannot demote within this set; converges later.
-            const uint32_t dw = fused1::argminRow<kChunks>(rrow, ways, m);
+            const uint32_t dw = lru_rows::argminRow<kChunks>(rrow, ways, m);
             c.lparts[base + dw] = kNoPart;
             c.occ[p]--;
             (*c.unmanaged)++;
@@ -458,7 +285,7 @@ class SchemePartitionedCache : public PartitionedCacheBase
             const uint32_t hw =
                 static_cast<uint32_t>(__builtin_ctzll(m_match));
             c.hitRaw[part]++;
-            fused1::touchRow<kChunks>(rrow, ways, hw);
+            lru_rows::touchRow<kChunks>(rrow, ways, hw);
             if ((umk[set] >> hw) & 1) {
                 // Promotion — the hit way's umk bit says it was
                 // unmanaged (masks track exactly valid+kNoPart).
@@ -485,9 +312,7 @@ class SchemePartitionedCache : public PartitionedCacheBase
         uint64_t m_valid = umk[set];
         for (uint32_t q = 0; q < nparts; ++q)
             m_valid |= pmk[static_cast<size_t>(set) * nparts + q];
-        const uint64_t way_span =
-            ways == 64 ? ~0ull : (1ull << ways) - 1;
-        const uint64_t m_inval = ~m_valid & way_span;
+        const uint64_t m_inval = ~m_valid & lru_rows::waySpan(ways);
         uint32_t vw; // Victim way.
         if (m_inval != 0) {
             vw = static_cast<uint32_t>(__builtin_ctzll(m_inval));
@@ -498,7 +323,7 @@ class SchemePartitionedCache : public PartitionedCacheBase
                 // singleton is its only member.
                 vw = (mu & (mu - 1)) == 0
                          ? static_cast<uint32_t>(__builtin_ctzll(mu))
-                         : fused1::argminRow<kChunks>(rrow, ways, mu);
+                         : lru_rows::argminRow<kChunks>(rrow, ways, mu);
                 cache_.stats().recordEviction();
                 if (*c.unmanaged > 0)
                     (*c.unmanaged)--;
@@ -528,7 +353,7 @@ class SchemePartitionedCache : public PartitionedCacheBase
                 }
                 talus_assert(worst != kNoPart,
                              "set full of foreign lines");
-                vw = fused1::argminRow<kChunks>(
+                vw = lru_rows::argminRow<kChunks>(
                     rrow, ways,
                     pmk[static_cast<size_t>(set) * nparts + worst]);
                 cache_.stats().recordEviction();
@@ -542,7 +367,7 @@ class SchemePartitionedCache : public PartitionedCacheBase
         tags[victim] = addr;
         fpt[victim] = fp;
         c.lparts[victim] = part;
-        fused1::touchRow<kChunks>(rrow, ways, vw);
+        lru_rows::touchRow<kChunks>(rrow, ways, vw);
         c.occ[part]++;
         pmk[static_cast<size_t>(set) * nparts + part] |= 1ull << vw;
         demote(vw, part);
@@ -620,7 +445,7 @@ class SchemePartitionedCache : public PartitionedCacheBase
         uint64_t* hitRaw;
         uint64_t hashSeed;
         uint32_t ways;
-        uint32_t chunks; //!< fused1::chunksFor(ways).
+        uint32_t chunks; //!< lru_rows::chunksFor(ways).
         uint32_t sets;
         uint32_t setMask;
         uint32_t nparts;

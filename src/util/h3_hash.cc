@@ -1,5 +1,7 @@
 #include "util/h3_hash.h"
 
+#include <memory>
+
 #include "util/bits.h"
 #include "util/log.h"
 #include "util/rng.h"
@@ -40,9 +42,19 @@ H3Hash::H3Hash(uint32_t out_bits, uint64_t seed)
                     table_[b][v] ^ bit_contrib[j];
         }
     }
+}
 
-    hiZero32_ = table_[4][0] ^ table_[5][0] ^ table_[6][0] ^ table_[7][0];
-    hiZero16_ = hiZero32_ ^ table_[2][0] ^ table_[3][0];
+H3Pair::H3Pair(uint32_t out_bits, uint64_t lo_seed, uint64_t hi_seed)
+{
+    // The two functions are built on the heap and dropped: at 8 KB
+    // each they would deepen the stack of every monitor construction.
+    const auto lo = std::make_unique<const H3Hash>(out_bits, lo_seed);
+    const auto hi = std::make_unique<const H3Hash>(out_bits, hi_seed);
+    for (uint32_t b = 0; b < 8; ++b) {
+        for (uint32_t v = 0; v < 256; ++v)
+            table_[b][v] = lo->table_[b][v] |
+                           static_cast<uint64_t>(hi->table_[b][v]) << 32;
+    }
 }
 
 uint32_t

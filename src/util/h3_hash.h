@@ -22,6 +22,76 @@
 namespace talus {
 
 /**
+ * The table-driven H3 evaluation, shared by H3Hash (32-bit entries)
+ * and H3Pair (two functions side by side in 64-bit entries).
+ * tables[b][v] is the parity contribution of input byte b holding
+ * value v. H3 is linear over GF(2), so H(a ^ b) = H(a) ^ H(b), and
+ * every tables[b][0] is 0: a zero byte contributes nothing, so a
+ * zero byte can be skipped, and H(a) = H(a & 0xFFFFFFFF) ^
+ * H(a >> 32 << 32) splits into a low-word and a high-word half.
+ */
+namespace h3 {
+
+template <typename T>
+using Tables = std::array<std::array<T, 256>, 8>;
+
+/** H(a & 0xFFFFFFFF): bytes 0-3, skipping 2-3 when both are zero. */
+template <typename T>
+inline T
+lowWord(const Tables<T>& t, Addr a)
+{
+    const T low = t[0][a & 0xFF] ^ t[1][(a >> 8) & 0xFF];
+    if ((a & 0xFFFF0000u) == 0)
+        return low;
+    return low ^ t[2][(a >> 16) & 0xFF] ^ t[3][(a >> 24) & 0xFF];
+}
+
+/** H(hi << 32) for the high word @p hi of an address. */
+template <typename T>
+inline T
+highWord(const Tables<T>& t, uint64_t hi)
+{
+    return t[4][hi & 0xFF] ^ t[5][(hi >> 8) & 0xFF] ^
+           t[6][(hi >> 16) & 0xFF] ^ t[7][(hi >> 24) & 0xFF];
+}
+
+/** H(a), in 2 to 8 loads by which of its 16-bit pieces are zero — the
+ *  small addresses of traces take the short paths, behind branches
+ *  that predict perfectly on typical streams. */
+template <typename T>
+inline T
+eval(const Tables<T>& t, Addr a)
+{
+    const T low = lowWord(t, a);
+    return (a >> 32) == 0 ? low : low ^ highWord(t, a >> 32);
+}
+
+/**
+ * Calls fn(i, H(a[i])) for i = 0..n-1, in order. The high word's
+ * contribution is memoised across the block and recomputed only when
+ * a >> 32 changes, so a block whose addresses share an address-space
+ * id (every per-partition block) pays the low word's 2 or 4 loads per
+ * address instead of 8.
+ */
+template <typename T, typename Fn>
+inline void
+evalBlock(const Tables<T>& t, const Addr* a, size_t n, Fn&& fn)
+{
+    uint64_t hi = 0;
+    T hi_h = 0; // H(0) = 0.
+    for (size_t i = 0; i < n; ++i) {
+        const uint64_t ahi = a[i] >> 32;
+        if (ahi != hi) {
+            hi = ahi;
+            hi_h = highWord(t, ahi);
+        }
+        fn(i, lowWord(t, a[i]) ^ hi_h);
+    }
+}
+
+} // namespace h3
+
+/**
  * An H3 hash function from 64-bit inputs to up to 32 output bits.
  *
  * The function is fully determined by its seed, so reconfigurations
@@ -29,10 +99,10 @@ namespace talus {
  *
  * Evaluation is table-driven: the input is sliced into 8 bytes and
  * each byte indexes a precomputed 256-entry table of partial parities,
- * so a hash is 8 loads and 7 XORs instead of 32 mask-and-popcount
- * steps. The tables are built from the same seeded masks as the
- * bit-serial definition, so outputs are bit-exact for a given seed
- * (hashReference() keeps the definitional form for tests).
+ * so a hash is at most 8 loads and 7 XORs instead of 32
+ * mask-and-popcount steps. The tables are built from the same seeded
+ * masks as the bit-serial definition, so outputs are bit-exact for a
+ * given seed (hashReference() keeps the definitional form for tests).
  */
 class H3Hash
 {
@@ -46,46 +116,31 @@ class H3Hash
     explicit H3Hash(uint32_t out_bits = 8, uint64_t seed = 0x1905'CAFE);
 
     /**
-     * Hashes a line address to out_bits bits.
-     *
-     * Zero bytes contribute table_[b][0], a constant XOR'd once at
-     * construction — so small addresses (the common case in traces)
-     * take 2 or 4 table loads instead of 8, behind branches that
-     * predict perfectly on typical streams. Bit-exact with the full
-     * evaluation for every input.
+     * Hashes a line address to out_bits bits. Zero bytes contribute
+     * nothing (table_[b][0] is 0), so small addresses take 2 or 4
+     * table loads instead of 8 (see h3::eval). Bit-exact with the
+     * full evaluation for every input.
      */
-    uint32_t hash(Addr addr) const
-    {
-        const uint32_t low = table_[0][addr & 0xFF] ^
-                             table_[1][(addr >> 8) & 0xFF];
-        if ((addr >> 16) == 0)
-            return low ^ hiZero16_;
-        const uint32_t mid = table_[2][(addr >> 16) & 0xFF] ^
-                             table_[3][(addr >> 24) & 0xFF];
-        if ((addr >> 32) == 0)
-            return low ^ mid ^ hiZero32_;
-        return low ^ mid ^
-               table_[4][(addr >> 32) & 0xFF] ^
-               table_[5][(addr >> 40) & 0xFF] ^
-               table_[6][(addr >> 48) & 0xFF] ^
-               table_[7][(addr >> 56) & 0xFF];
-    }
+    uint32_t hash(Addr addr) const { return h3::eval(table_, addr); }
 
     /**
      * Hashes a whole block of addresses into @p out (which must hold
      * at least addrs.size() entries). Bit-exact with calling hash()
-     * per element; the single tight loop over the byte-sliced tables
-     * lets the compiler unroll and pipeline the table loads across
-     * addresses, which a per-access call boundary defeats. This is
-     * the batched-access fast path: one hashBlock feeds the router
-     * and the monitors for an entire access block.
+     * per element; one tight loop over the byte-sliced tables with the
+     * high word memoised across the block (h3::evalBlock).
      */
     void hashBlock(Span<const Addr> addrs, uint32_t* out) const
     {
-        const Addr* a = addrs.data();
-        const size_t n = addrs.size();
-        for (size_t i = 0; i < n; ++i)
-            out[i] = hash(a[i]);
+        forEachHash(addrs, [out](size_t i, uint32_t h) { out[i] = h; });
+    }
+
+    /** Calls fn(i, hash(addrs[i])) over the block, in order, with the
+     *  high word memoised (h3::evalBlock): hashBlock() for a caller
+     *  that consumes each hash at once instead of storing it. */
+    template <typename Fn>
+    void forEachHash(Span<const Addr> addrs, Fn&& fn) const
+    {
+        h3::evalBlock(table_, addrs.data(), addrs.size(), fn);
     }
 
     /** Hashes to a real number in [0, 1). */
@@ -110,14 +165,43 @@ class H3Hash
     uint64_t range() const { return 1ull << outBits_; }
 
   private:
+    friend class H3Pair;
+
     uint32_t outBits_;
     std::array<uint64_t, 32> masks_;
     // table_[b][v]: XOR-parity contribution of input byte b holding
     // value v, one bit per output bit. Value-initialized so that the
     // v == 0 entries (never written by the fill loop) are zero.
-    std::array<std::array<uint32_t, 256>, 8> table_{};
-    uint32_t hiZero16_ = 0; //!< XOR of table_[2..7][0].
-    uint32_t hiZero32_ = 0; //!< XOR of table_[4..7][0].
+    h3::Tables<uint32_t> table_{};
+};
+
+/**
+ * Two H3 functions evaluated by one set of byte lookups: entry
+ * [b][v] of the paired table is lo's entry | hi's entry << 32, and
+ * XOR works lane-wise, so hash(a) = lo.hash(a) | hi.hash(a) << 32
+ * exactly, for the loads of one function. The two functions' own
+ * tables are not kept.
+ */
+class H3Pair
+{
+  public:
+    /** Pairs lo = H3Hash(out_bits, lo_seed) with
+     *  hi = H3Hash(out_bits, hi_seed). */
+    H3Pair(uint32_t out_bits, uint64_t lo_seed, uint64_t hi_seed);
+
+    /** lo.hash(addr) | uint64_t(hi.hash(addr)) << 32. */
+    uint64_t hash(Addr addr) const { return h3::eval(table_, addr); }
+
+    /** Calls fn(i, hash(addrs[i])) over the block, in order, with the
+     *  high word memoised (h3::evalBlock). */
+    template <typename Fn>
+    void forEachHash(Span<const Addr> addrs, Fn&& fn) const
+    {
+        h3::evalBlock(table_, addrs.data(), addrs.size(), fn);
+    }
+
+  private:
+    h3::Tables<uint64_t> table_;
 };
 
 } // namespace talus

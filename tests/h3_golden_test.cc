@@ -149,6 +149,89 @@ TEST(H3Golden, HashBlockMatchesPerAddressCalls)
     }
 }
 
+/**
+ * Blocks that exercise hashBlock's high-word memo: runs of one
+ * address-space id (bit 40 and up) that switch mid-block, back to a
+ * previous id, and to zero; low words that are zero in bits 16-31
+ * (the two-load path) or not; and full-width draws.
+ */
+std::vector<Addr>
+memoBlock(Rng& rng, size_t n)
+{
+    std::vector<Addr> addrs(n);
+    Addr hi = 0;
+    for (auto& a : addrs) {
+        if (rng.below(5) == 0)
+            hi = rng.below(4) == 0 ? 0 : (1 + rng.below(3)) << 40;
+        switch (rng.below(4)) {
+          case 0:
+            a = hi | rng.below(1ull << 16); // Zero in bits 16-31.
+            break;
+          case 1:
+            a = hi | rng.below(1ull << 32);
+            break;
+          case 2:
+            a = hi | (rng.below(1ull << 16) << 16); // Zero low half.
+            break;
+          default:
+            a = rng.next64();
+        }
+    }
+    return addrs;
+}
+
+TEST(H3Golden, HashBlockHighWordMemoIsBitExact)
+{
+    Rng rng(0x3E30);
+    for (const uint64_t seed : {0x1905CAFEull, 0x707ull, 0xC3Bull}) {
+        for (const uint32_t bits : {8u, 32u}) {
+            H3Hash h(bits, seed);
+            for (const size_t n : {size_t(1), size_t(7), size_t(64),
+                                   size_t(4096)}) {
+                const std::vector<Addr> addrs = memoBlock(rng, n);
+                std::vector<uint32_t> block(n, 0xA5A5A5A5u);
+                h.hashBlock(Span<const Addr>(addrs.data(), n),
+                            block.data());
+                for (size_t i = 0; i < n; ++i)
+                    ASSERT_EQ(block[i], h.hashReference(addrs[i]))
+                        << "seed=" << seed << " bits=" << bits
+                        << " n=" << n << " i=" << i
+                        << " addr=" << addrs[i];
+            }
+        }
+    }
+}
+
+TEST(H3Golden, PairedHashHalvesMatchEachFunction)
+{
+    // The paired table is CombinedUMon's only copy of its monitors'
+    // hashes: its low half must be the primary's H3 and its high half
+    // the secondary's, by hash() and by the memoised block walk.
+    Rng rng(0x9A1D);
+    for (const uint64_t seed : {0x2B0Bull, 0x1111ull, 0x707ull}) {
+        const H3Hash lo(32, seed);
+        const H3Hash hi(32, seed ^ 0x5A5A5A5A);
+        const H3Pair pair(32, seed, seed ^ 0x5A5A5A5A);
+        const std::vector<Addr> addrs = memoBlock(rng, 4096);
+        size_t visited = 0;
+        pair.forEachHash(
+            Span<const Addr>(addrs.data(), addrs.size()),
+            [&](size_t i, uint64_t h) {
+                ASSERT_EQ(i, visited++);
+                ASSERT_EQ(static_cast<uint32_t>(h), lo.hash(addrs[i]));
+                ASSERT_EQ(static_cast<uint32_t>(h >> 32),
+                          hi.hash(addrs[i]));
+            });
+        EXPECT_EQ(visited, addrs.size());
+        for (const Addr a : kProbes) {
+            EXPECT_EQ(static_cast<uint32_t>(pair.hash(a)),
+                      lo.hashReference(a));
+            EXPECT_EQ(static_cast<uint32_t>(pair.hash(a) >> 32),
+                      hi.hashReference(a));
+        }
+    }
+}
+
 TEST(H3Golden, HashUnitMatchesHashForWideHashes)
 {
     H3Hash h(32, 0x707);

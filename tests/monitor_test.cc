@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "cache/fully_assoc_lru.h"
+#include "cache/lru_rows.h"
 #include "monitor/combined_umon.h"
 #include "monitor/mattson_curve.h"
 #include "monitor/policy_monitor.h"
@@ -17,6 +20,7 @@
 #include "monitor/umon.h"
 #include "sim/single_app_sim.h"
 #include "tests/test_util.h"
+#include "util/rng.h"
 #include "workload/cyclic_scan.h"
 #include "workload/uniform_random.h"
 
@@ -416,6 +420,383 @@ TEST(CombinedUMon, OnePassCurveMatchesMergeThenClamp)
     }
     // The comparison covered curves the running minimum changes.
     EXPECT_GT(clamps, 0);
+}
+
+// ------------------------------------------------ UMON oracle
+
+/**
+ * The definitional UMON: a move-to-front tag array per set, scanned
+ * from MRU and shifted on every sampled access, with the hit's LRU
+ * stack position counted. Geometry, sampling and set selection follow
+ * UMon's specification (shrink to the modeled size, an H3 hash of
+ * UMon::kHashBits bits below ceil(threshold * 2^bits) samples, its
+ * low bits pick the set) and curve() the same arithmetic, so a
+ * correct UMon agrees with it point for point, double for double.
+ */
+class ReferenceUMon
+{
+  public:
+    explicit ReferenceUMon(const UMon::Config& c)
+        : cfg_(c), hash_(UMon::kHashBits, c.seed)
+    {
+        if (cfg_.modeledLines <
+            static_cast<uint64_t>(cfg_.ways) * cfg_.sets) {
+            if (cfg_.modeledLines < cfg_.ways) {
+                cfg_.ways = static_cast<uint32_t>(cfg_.modeledLines);
+                cfg_.sets = 1;
+            } else {
+                cfg_.sets = static_cast<uint32_t>(std::max<uint64_t>(
+                    1, cfg_.modeledLines / cfg_.ways));
+            }
+        }
+        const uint64_t lines =
+            static_cast<uint64_t>(cfg_.ways) * cfg_.sets;
+        const double threshold =
+            cfg_.modeledLines <= lines
+                ? 1.0
+                : static_cast<double>(lines) /
+                      static_cast<double>(cfg_.modeledLines);
+        limit_ = threshold * static_cast<double>(hash_.range());
+        reset();
+    }
+
+    void access(Addr a) { accessHashed(a, hash_.hash(a)); }
+
+    /** access() for a caller that already holds the monitor's hash. */
+    void
+    accessHashed(Addr a, uint32_t h)
+    {
+        if (static_cast<double>(h) >= limit_)
+            return;
+        sampled_++;
+        Addr* row = &stack_[static_cast<size_t>(h % cfg_.sets) * cfg_.ways];
+        uint32_t pos = 0;
+        while (pos < cfg_.ways && row[pos] != a) {
+            fpCollisions_ += row[pos] != kEmpty &&
+                             tagFingerprint(row[pos]) == tagFingerprint(a);
+            pos++;
+        }
+        if (pos < cfg_.ways)
+            hits_[pos]++;
+        else
+            pos = cfg_.ways - 1; // Drop the LRU tag.
+        for (; pos > 0; --pos)
+            row[pos] = row[pos - 1];
+        row[0] = a;
+    }
+
+    MissCurve
+    curve() const
+    {
+        const double granularity =
+            static_cast<double>(cfg_.modeledLines) / cfg_.ways;
+        const double total =
+            sampled_ > 0 ? static_cast<double>(sampled_) : 1.0;
+        std::vector<CurvePoint> pts = {{0.0, 1.0}};
+        uint64_t hits = 0;
+        for (uint32_t d = 0; d < cfg_.ways; ++d) {
+            hits += hits_[d];
+            pts.push_back({granularity * (d + 1),
+                           static_cast<double>(sampled_ - hits) / total});
+        }
+        return MissCurve(std::move(pts));
+    }
+
+    void
+    decay()
+    {
+        for (uint64_t& h : hits_)
+            h /= 2;
+        sampled_ /= 2;
+    }
+
+    void
+    reset()
+    {
+        stack_.assign(static_cast<size_t>(cfg_.ways) * cfg_.sets, kEmpty);
+        hits_.assign(cfg_.ways, 0);
+        sampled_ = 0;
+    }
+
+    uint64_t sampledAccesses() const { return sampled_; }
+
+    /** Scanned resident tags whose fingerprint equalled the probe's. */
+    uint64_t fpCollisions() const { return fpCollisions_; }
+
+  private:
+    static constexpr Addr kEmpty = ~0ull;
+
+    UMon::Config cfg_;
+    H3Hash hash_;
+    double limit_ = 0;
+    std::vector<Addr> stack_; //!< [set * ways + pos], pos 0 = MRU.
+    std::vector<uint64_t> hits_;
+    uint64_t sampled_ = 0;
+    uint64_t fpCollisions_ = 0;
+};
+
+/**
+ * Oracle address streams: uniform keys; tenant addresses at bit 40
+ * and up whose high word changes every few accesses (inside any
+ * block); and a pool of fingerprint-colliding pairs, where a ^ (x |
+ * x << 32) folds to a's fingerprint for every x.
+ */
+std::vector<Addr>
+oracleTrace(int kind, size_t n, uint64_t distinct, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<Addr> t(n);
+    for (size_t i = 0; i < n; ++i) {
+        const Addr key = rng.below(distinct);
+        if (kind == 0) {
+            t[i] = key;
+        } else if (kind == 1) {
+            const Addr tenant = 1 + (i / (1 + rng.below(6))) % 3;
+            t[i] = (tenant << 40) + (rng.below(2) << 33) + key;
+        } else {
+            const uint64_t x = rng.below(4) * 0x9E3779B9ull;
+            t[i] = (key * 0x10001ull + (7ull << 40)) ^ (x | x << 32);
+        }
+    }
+    return t;
+}
+
+const char* const kTraceNames[] = {"uniform", "tenant", "fp-collide"};
+
+void
+expectSameCurves(const MissCurve& got, const MissCurve& want,
+                 const std::string& where)
+{
+    ASSERT_EQ(got.numPoints(), want.numPoints()) << where;
+    for (size_t i = 0; i < got.numPoints(); ++i) {
+        ASSERT_EQ(got.point(i).size, want.point(i).size)
+            << where << " point " << i;
+        ASSERT_EQ(got.point(i).misses, want.point(i).misses)
+            << where << " point " << i;
+    }
+}
+
+struct OracleGeometry
+{
+    uint32_t ways;
+    uint32_t sets;
+    uint64_t modeledLines;
+};
+
+// 64x16 sampled and unsampled, 48 ways (three 16-way chunks), 16 and
+// 8 ways, non-power-of-two set counts, and extension_test's two
+// shrink cases (64x16 modeling 256 lines -> 4 sets; modeling 8 -> one
+// 8-way set).
+constexpr OracleGeometry kOracleGeometries[] = {
+    {64, 16, 4096}, {64, 16, 1024}, {48, 16, 3000}, {16, 16, 16384},
+    {8, 4, 512},    {16, 12, 768},  {32, 5, 640},   {64, 16, 256},
+    {64, 16, 8},
+};
+
+TEST(UMonOracle, MatchesMoveToFrontThroughDecayAndReset)
+{
+    uint64_t collisions = 0;
+    for (const OracleGeometry& g : kOracleGeometries) {
+        for (int kind = 0; kind < 3; ++kind) {
+            UMon::Config cfg;
+            cfg.ways = g.ways;
+            cfg.sets = g.sets;
+            cfg.modeledLines = g.modeledLines;
+            cfg.seed = 0x0707 + g.ways + kind;
+            UMon umon(cfg);
+            ReferenceUMon ref(cfg);
+            const std::string where =
+                std::to_string(g.ways) + "x" + std::to_string(g.sets) +
+                " modeling " + std::to_string(g.modeledLines) + " " +
+                kTraceNames[kind];
+            const std::vector<Addr> trace = oracleTrace(
+                kind, 60000, 2 * g.modeledLines + 3, 17 + kind);
+            for (size_t i = 0; i < trace.size(); ++i) {
+                umon.access(trace[i]);
+                ref.access(trace[i]);
+                if (i % 7001 == 7000) {
+                    expectSameCurves(umon.curve(), ref.curve(),
+                                     where + " at " + std::to_string(i));
+                    umon.decay();
+                    ref.decay();
+                }
+                if (i == 30000) {
+                    umon.reset();
+                    ref.reset();
+                }
+            }
+            ASSERT_EQ(umon.sampledAccesses(), ref.sampledAccesses())
+                << where;
+            expectSameCurves(umon.curve(), ref.curve(), where + " end");
+            collisions += ref.fpCollisions();
+        }
+    }
+    // The verify-after-fingerprint path was exercised.
+    EXPECT_GT(collisions, 0u);
+}
+
+/**
+ * CombinedUMon against two definitional monitors configured as it
+ * configures its pair, merged as CombinedUMon::curve() specifies.
+ */
+class ReferenceCombinedMtf
+{
+  public:
+    explicit ReferenceCombinedMtf(const CombinedUMon::Config& c)
+        : cfg_(c), primary_(primaryOf(c)), secondary_(secondaryOf(c))
+    {
+    }
+
+    void
+    access(Addr a)
+    {
+        primary_.access(a);
+        if (cfg_.coverage > 1)
+            secondary_.access(a);
+    }
+
+    void
+    decay()
+    {
+        primary_.decay();
+        secondary_.decay();
+    }
+
+    void
+    reset()
+    {
+        primary_.reset();
+        secondary_.reset();
+    }
+
+    MissCurve
+    curve() const
+    {
+        std::vector<CurvePoint> pts = primary_.curve().points();
+        if (cfg_.coverage > 1) {
+            const MissCurve coarse = secondary_.curve();
+            for (const CurvePoint& p : coarse.points()) {
+                if (p.size > static_cast<double>(cfg_.llcLines))
+                    pts.push_back(p);
+            }
+        }
+        return MissCurve(std::move(pts)).monotoneClamped();
+    }
+
+    uint64_t sampledAccesses() const { return primary_.sampledAccesses(); }
+
+  private:
+    static UMon::Config
+    primaryOf(const CombinedUMon::Config& c)
+    {
+        UMon::Config u;
+        u.ways = c.primaryWays;
+        u.sets = c.sets;
+        u.modeledLines = c.llcLines;
+        u.seed = c.seed;
+        return u;
+    }
+
+    static UMon::Config
+    secondaryOf(const CombinedUMon::Config& c)
+    {
+        UMon::Config u;
+        u.ways = c.sampledWays;
+        u.sets = c.sets;
+        u.modeledLines = c.llcLines * c.coverage;
+        u.seed = c.seed ^ 0x5A5A5A5A;
+        return u;
+    }
+
+    CombinedUMon::Config cfg_;
+    ReferenceUMon primary_;
+    ReferenceUMon secondary_;
+};
+
+TEST(UMonOracle, CombinedBlocksMatchMoveToFrontReference)
+{
+    struct Geometry
+    {
+        uint64_t llcLines;
+        uint32_t primaryWays;
+        uint32_t coverage;
+    };
+    const Geometry geometries[] = {
+        {8192, 64, 4}, {3000, 48, 4}, {1024, 64, 1}, {256, 16, 4},
+        {8, 64, 4},
+    };
+    for (const Geometry& g : geometries) {
+        for (int kind = 0; kind < 3; ++kind) {
+            const std::vector<Addr> trace =
+                oracleTrace(kind, 40000, 2 * g.llcLines + 5, 29 + kind);
+            // Block length 0 drives access() per address.
+            for (const size_t block : {size_t(0), size_t(1), size_t(7),
+                                       size_t(4096)}) {
+                CombinedUMon::Config cfg;
+                cfg.llcLines = g.llcLines;
+                cfg.primaryWays = g.primaryWays;
+                cfg.coverage = g.coverage;
+                cfg.seed = 0x2B0B + g.llcLines;
+                CombinedUMon mon(cfg);
+                ReferenceCombinedMtf ref(cfg);
+                const std::string where =
+                    "llcLines " + std::to_string(g.llcLines) + " ways " +
+                    std::to_string(g.primaryWays) + " coverage " +
+                    std::to_string(g.coverage) + " " + kTraceNames[kind] +
+                    " block " + std::to_string(block);
+                size_t i = 0;
+                int round = 0;
+                while (i < trace.size()) {
+                    const size_t n =
+                        block == 0
+                            ? 1
+                            : std::min(block, trace.size() - i);
+                    if (block == 0)
+                        mon.access(trace[i]);
+                    else
+                        mon.accessBlock(
+                            Span<const Addr>(trace.data() + i, n));
+                    for (size_t k = i; k < i + n; ++k)
+                        ref.access(trace[k]);
+                    i += n;
+                    if (i / 9000 != (i - n) / 9000) {
+                        expectSameCurves(mon.curve(), ref.curve(),
+                                         where + " at " +
+                                             std::to_string(i));
+                        if (++round == 2) {
+                            mon.reset();
+                            ref.reset();
+                        } else {
+                            mon.decay();
+                            ref.decay();
+                        }
+                    }
+                }
+                ASSERT_EQ(mon.sampledAccesses(), ref.sampledAccesses())
+                    << where;
+                expectSameCurves(mon.curve(), ref.curve(), where + " end");
+            }
+        }
+    }
+}
+
+TEST(UMonDeathTest, InvalidTagSentinelIsRejected)
+{
+    // An unsampled monitor samples every address, so the sentinel
+    // reaches the walk instead of counting as a hit on an empty way.
+    UMon::Config cfg;
+    cfg.ways = 16;
+    cfg.sets = 4;
+    cfg.modeledLines = 64;
+    UMon umon(cfg);
+    EXPECT_DEATH(umon.access(~0ull), "invalid-tag sentinel");
+
+    CombinedUMon::Config cc;
+    cc.llcLines = 64;
+    CombinedUMon mon(cc);
+    const Addr block[] = {1, 2, ~0ull, 3};
+    EXPECT_DEATH(mon.accessBlock(Span<const Addr>(block, 4)),
+                 "invalid-tag sentinel");
 }
 
 // -------------------------------------------------- PolicyMonitorArray
