@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "alloc/allocator_factory.h"
@@ -83,6 +84,8 @@ TalusCache::Config::validate() const
     // Talus doubles every logical partition into alpha/beta shadows.
     const uint64_t phys_parts =
         talus ? 2ull * numParts : static_cast<uint64_t>(numParts);
+    // Set-associative schemes round capacity down to whole sets.
+    const uint64_t set_lines = ways > 0 ? llcLines / ways * ways : 0;
     std::ostringstream err;
     if (llcLines < 1)
         err << "llcLines must be >= 1 (got " << llcLines << ")";
@@ -91,6 +94,22 @@ TalusCache::Config::validate() const
     else if (ways > llcLines)
         err << "ways (" << ways << ") exceeds llcLines (" << llcLines
             << "); shrink the associativity or grow the cache";
+    else if (scheme != SchemeKind::Ideal &&
+             ways > SetAssocCache::kMaxWays)
+        err << "ways must be <= " << SetAssocCache::kMaxWays
+            << " for set-associative schemes (got " << ways
+            << "); shrink the associativity or pick scheme Ideal";
+    else if (scheme != SchemeKind::Ideal && set_lines > UINT32_MAX)
+        err << "llcLines (" << llcLines << ") rounds to " << set_lines
+            << " lines in whole sets; set-associative schemes address "
+               "at most "
+            << UINT32_MAX << " lines";
+    else if (scheme == SchemeKind::Vantage &&
+             set_lines >= kVantageMaxLines)
+        err << "llcLines (" << llcLines << ") rounds to " << set_lines
+            << " lines in whole sets; Vantage is limited to "
+            << kVantageMaxLines - 1
+            << " lines; shrink llcLines or pick another scheme";
     else if (numParts < 1)
         err << "numParts must be >= 1 (got " << numParts << ")";
     else if (!knownName(knownPolicies(), policyName))
@@ -166,32 +185,31 @@ TalusCache::TalusCache(const Config& config) : cfg_(config)
         }
     }
 
-    if (cfg_.talus) {
-        auto phys = makePartitionedCache(cfg_.scheme, cfg_.llcLines,
-                                         cfg_.ways, cfg_.policyName,
-                                         2 * cfg_.numParts, cfg_.seed);
-        TalusController::Config tc;
-        tc.numLogicalParts = cfg_.numParts;
-        tc.margin = cfg_.margin;
-        tc.routerBits = cfg_.routerBits;
-        tc.usableFraction = schemeUsableFraction(cfg_.scheme);
-        tc.recomputeFromCoarsened = cfg_.scheme == SchemeKind::Way ||
-                                    cfg_.scheme == SchemeKind::Set;
-        tc.seed = cfg_.routerSeed.value_or(cfg_.seed ^ 0xC11);
-        ctl_ = std::make_unique<TalusController>(std::move(phys), tc);
+    // Talus doubles every logical partition into alpha/beta shadows;
+    // a baseline gets one physical partition per logical partition.
+    auto phys = makePartitionedCache(
+        cfg_.scheme, cfg_.llcLines, cfg_.ways, cfg_.policyName,
+        cfg_.talus ? 2 * cfg_.numParts : cfg_.numParts, cfg_.seed);
+    TalusController::Config tc;
+    tc.numLogicalParts = cfg_.numParts;
+    tc.margin = cfg_.margin;
+    tc.routerBits = cfg_.routerBits;
+    tc.usableFraction = schemeUsableFraction(cfg_.scheme);
+    tc.recomputeFromCoarsened =
+        cfg_.scheme == SchemeKind::Way || cfg_.scheme == SchemeKind::Set;
+    tc.seed = cfg_.routerSeed.value_or(cfg_.seed ^ 0xC11);
+    ctl_ = std::make_unique<TalusController>(std::move(phys), tc);
 
-        // Start from a fair split; single-point curves make every
-        // logical partition degenerate (rho = 1) until monitors warm
-        // or the caller applies real curves.
+    // Talus starts from a fair split; single-point curves make every
+    // logical partition degenerate (rho = 1) until monitors warm or
+    // the caller applies real curves. Baselines keep their scheme's
+    // default targets.
+    if (cfg_.talus) {
         std::vector<MissCurve> flat(cfg_.numParts,
                                     MissCurve({{0.0, 1.0}}));
         FairAllocator fair;
         ctl_->configure(
             flat, fair.allocate(flat, ctl_->cache().capacityLines(), 1));
-    } else {
-        plain_ = makePartitionedCache(cfg_.scheme, cfg_.llcLines,
-                                      cfg_.ways, cfg_.policyName,
-                                      cfg_.numParts, cfg_.seed);
     }
 
     if (!cfg_.allocatorName.empty())
@@ -392,11 +410,8 @@ TalusCache::applyControl(const ControlOutput& out)
 {
     applyAt_ = 0;
     reconfigurations_++;
-    if (cfg_.talus)
-        ctl_->configure(out.curves, out.alloc);
-    else if (cfg_.scheme != SchemeKind::Unpartitioned)
-        plain_->setTargets(out.alloc);
-    cache().nextInterval();
+    ctl_->configure(out.curves, out.alloc);
+    ctl_->nextInterval();
     if (obs_)
         obsOnApply(out);
 }
@@ -418,10 +433,7 @@ TalusCache::obsOnBatch(PartId part, uint64_t n, uint64_t hits)
     if (ev >= o.lastEvictions)
         o.evictions->inc(ev - o.lastEvictions);
     o.lastEvictions = ev;
-    pm.occupancy->set(static_cast<double>(
-        cfg_.talus ? cache().occupancy(2 * part) +
-                         cache().occupancy(2 * part + 1)
-                   : cache().occupancy(part)));
+    pm.occupancy->set(static_cast<double>(ctl_->logicalOccupancy(part)));
     o.staleness->set(
         static_cast<double>(accessCount_ - o.activeSnapshotAccess));
 }
@@ -446,16 +458,9 @@ TalusCache::obsOnApply(const ControlOutput& out)
     o.lastAlloc = out.alloc;
     o.allocDelta->set(static_cast<double>(delta));
     for (uint32_t p = 0; p < cfg_.numParts; ++p) {
-        Obs::PartMetrics& pm = o.parts[p];
-        if (cfg_.talus) {
-            const PartitionedCacheBase& c = ctl_->cache();
-            pm.targetLines->set(static_cast<double>(
-                c.targetOf(2 * p) + c.targetOf(2 * p + 1)));
-            pm.rho->set(ctl_->routedRho(p));
-        } else if (cfg_.scheme != SchemeKind::Unpartitioned) {
-            pm.targetLines->set(
-                static_cast<double>(plain_->targetOf(p)));
-        }
+        o.parts[p].targetLines->set(
+            static_cast<double>(ctl_->logicalTarget(p)));
+        o.parts[p].rho->set(ctl_->routedRho(p));
     }
 }
 
@@ -463,17 +468,7 @@ void
 TalusCache::applyCurves(const std::vector<MissCurve>& curves,
                         const std::vector<uint64_t>& logical_alloc)
 {
-    if (curves.size() != cfg_.numParts ||
-        logical_alloc.size() != cfg_.numParts)
-        talus_fatal("TalusCache::applyCurves: expected ", cfg_.numParts,
-                    " curves and allocations (one per logical "
-                    "partition), got ",
-                    curves.size(), " curves and ", logical_alloc.size(),
-                    " allocations");
-    if (cfg_.talus)
-        ctl_->configure(curves, logical_alloc);
-    else if (cfg_.scheme != SchemeKind::Unpartitioned)
-        plain_->setTargets(logical_alloc);
+    ctl_->configure(curves, logical_alloc);
 }
 
 TalusCache::PartStats
@@ -481,19 +476,11 @@ TalusCache::stats(PartId part) const
 {
     talus_assert(part < cfg_.numParts, "bad logical partition ", part);
     PartStats s;
-    if (cfg_.talus) {
-        s.accesses = ctl_->logicalAccesses(part);
-        s.misses = ctl_->logicalMisses(part);
-        const PartitionedCacheBase& c = ctl_->cache();
-        s.targetLines = c.targetOf(2 * part) + c.targetOf(2 * part + 1);
-        s.rho = ctl_->routedRho(part);
-        s.shadow = ctl_->configOf(part);
-    } else {
-        const CacheStats& cs = plain_->stats();
-        s.accesses = cs.accesses(part);
-        s.misses = cs.misses(part);
-        s.targetLines = plain_->targetOf(part);
-    }
+    s.accesses = ctl_->logicalAccesses(part);
+    s.misses = ctl_->logicalMisses(part);
+    s.targetLines = ctl_->logicalTarget(part);
+    s.rho = ctl_->routedRho(part);
+    s.shadow = ctl_->configOf(part);
     return s;
 }
 
@@ -556,13 +543,13 @@ TalusCache::capacityLines() const
 PartitionedCacheBase&
 TalusCache::cache()
 {
-    return cfg_.talus ? ctl_->cache() : *plain_;
+    return ctl_->cache();
 }
 
 const PartitionedCacheBase&
 TalusCache::cache() const
 {
-    return cfg_.talus ? ctl_->cache() : *plain_;
+    return ctl_->cache();
 }
 
 } // namespace talus

@@ -8,7 +8,10 @@
  * shadow-partition sizes and sampling rates. TalusCache owns that
  * whole loop. One validated Config builds the partitioned cache, the
  * TalusController, one CombinedUMon per logical partition, and the
- * allocator; callers then just:
+ * allocator. Baselines (Config::talus false) run through the same
+ * controller over one physical partition per logical partition, whose
+ * routers stay at rho = 1: the controller alone knows the layout, and
+ * both modes share every step below. Callers then just:
  *
  *     TalusCache::Config cfg;
  *     cfg.llcLines = 8192;
@@ -329,7 +332,10 @@ class TalusCache
     const PartitionedCacheBase& cache() const;
 
     /** The Talus controller; nullptr when Config::talus is false. */
-    const TalusController* controller() const { return ctl_.get(); }
+    const TalusController* controller() const
+    {
+        return cfg_.talus ? ctl_.get() : nullptr;
+    }
 
   private:
     /** Batch chunk bound: caps the monitor/router scratch buffers and
@@ -364,9 +370,7 @@ class TalusCache
     {
         if (cfg_.monitoring)
             feedMonitor(part, addrs, n);
-        const uint64_t hits =
-            cfg_.talus ? ctl_->accessBlock(addrs, n, part)
-                       : plain_->accessBatchUniform(addrs, n, part);
+        const uint64_t hits = ctl_->accessBlock(addrs, n, part);
         intervalAccesses_[part] += n;
         sinceReconfig_ += n;
         accessCount_ += n;
@@ -402,8 +406,8 @@ class TalusCache
 
     Config cfg_;
     std::vector<CombinedUMon> monitors_;
-    std::unique_ptr<TalusController> ctl_;        //!< Talus mode.
-    std::unique_ptr<PartitionedCacheBase> plain_; //!< Baseline mode.
+    /** Both modes: shadow pairs under Talus, 1:1 for baselines. */
+    std::unique_ptr<TalusController> ctl_;
     ControlPlane plane_; //!< Allocator + staged/active control state.
     uint64_t granule_ = 1;
     // Per-partition hot metadata in struct-of-arrays layout: the batch

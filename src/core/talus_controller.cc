@@ -14,9 +14,11 @@ TalusController::TalusController(std::unique_ptr<PartitionedCacheBase> phys,
 {
     talus_assert(cfg_.numLogicalParts >= 1, "need >= 1 logical partition");
     talus_assert(phys_ != nullptr, "controller needs a cache");
-    talus_assert(phys_->numPartitions() == 2 * cfg_.numLogicalParts,
-                 "physical cache must have 2x logical partitions (",
-                 phys_->numPartitions(), " vs 2x", cfg_.numLogicalParts,
+    physPerLogical_ = phys_->numPartitions() / cfg_.numLogicalParts;
+    talus_assert(phys_->numPartitions() % cfg_.numLogicalParts == 0 &&
+                     (physPerLogical_ == 1 || physPerLogical_ == 2),
+                 "physical cache must have 1x or 2x logical partitions (",
+                 phys_->numPartitions(), " vs ", cfg_.numLogicalParts,
                  ")");
     talus_assert(cfg_.usableFraction > 0 && cfg_.usableFraction <= 1.0,
                  "usable fraction must be in (0,1]");
@@ -49,7 +51,7 @@ TalusController::accessBlockMulti(const Addr* addrs, uint64_t n,
         // (identical to a routed block whose partitions are all
         // alpha). Degenerate partitions — including every partition
         // before its first real configuration — take this path.
-        return phys_->accessBatchUniform(addrs, n, 2 * part);
+        return phys_->accessBatchUniform(addrs, n, alphaOf(part));
     }
     routeParts_.resize(n);
     PartId* route = routeParts_.data();
@@ -99,6 +101,10 @@ TalusController::configure(const std::vector<MissCurve>& curves,
                     " lines); the partitioning algorithm must allocate "
                     "at most the physical capacity (check allocator "
                     "granularity and set-rounding)");
+    if (physPerLogical_ == 1) {
+        phys_->setTargets(logical_alloc);
+        return;
+    }
 
     // Compute shadow partition sizes for every logical partition.
     std::vector<uint64_t> phys_targets(2 * cfg_.numLogicalParts, 0);
@@ -162,15 +168,25 @@ TalusController::routedRho(PartId p) const
 uint64_t
 TalusController::logicalAccesses(PartId p) const
 {
-    const CacheStats& stats = phys_->stats();
-    return stats.accesses(2 * p) + stats.accesses(2 * p + 1);
+    return sumPhys(p, [&](PartId q) { return phys_->stats().accesses(q); });
 }
 
 uint64_t
 TalusController::logicalMisses(PartId p) const
 {
-    const CacheStats& stats = phys_->stats();
-    return stats.misses(2 * p) + stats.misses(2 * p + 1);
+    return sumPhys(p, [&](PartId q) { return phys_->stats().misses(q); });
+}
+
+uint64_t
+TalusController::logicalOccupancy(PartId p) const
+{
+    return sumPhys(p, [&](PartId q) { return phys_->occupancy(q); });
+}
+
+uint64_t
+TalusController::logicalTarget(PartId p) const
+{
+    return sumPhys(p, [&](PartId q) { return phys_->targetOf(q); });
 }
 
 } // namespace talus

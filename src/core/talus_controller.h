@@ -3,10 +3,17 @@
  * TalusController: the full Talus mechanism around a partitioned
  * cache (Fig. 7 of the paper).
  *
- * The controller owns a physical cache with 2N partitions for N
- * logical (software-visible) partitions: logical p maps to physical
- * 2p (the alpha shadow partition) and 2p+1 (beta). Accesses are
- * routed by per-logical-partition H3 sampling functions.
+ * The controller owns a physical cache for N logical (software-
+ * visible) partitions and is the only code that knows how they map
+ * onto physical partitions. It reads the layout off the physical
+ * partition count:
+ *  - 2N (Talus): logical p maps to physical 2p (the alpha shadow
+ *    partition) and 2p+1 (beta); accesses are routed by per-logical-
+ *    partition H3 sampling functions.
+ *  - N (baseline): logical p is physical p. A logical partition with
+ *    rho = 1 and an empty beta shadow behaves exactly like the plain
+ *    partition (Sec. VI-B), so the routers stay in the rho = 1 state
+ *    they start in and configure() sets the allocation as targets.
  *
  * Reconfiguration follows the paper's software flow:
  *  - pre-processing: convexHulls() turns monitored miss curves into
@@ -50,8 +57,8 @@ class TalusController
     };
 
     /**
-     * @param phys Physical cache; must expose 2 * numLogicalParts
-     *        partitions.
+     * @param phys Physical cache; exposes 2 * numLogicalParts
+     *        partitions (shadow pairs) or numLogicalParts (1:1).
      * @param config Controller configuration.
      */
     TalusController(std::unique_ptr<PartitionedCacheBase> phys,
@@ -65,8 +72,9 @@ class TalusController
         talus_assert(part < cfg_.numLogicalParts, "bad logical partition ",
                      part);
         const ShadowRouter& rt = routers_[part];
-        const PartId phys =
-            rt.alwaysAlpha() || rt.toAlpha(addr) ? 2 * part : 2 * part + 1;
+        const PartId phys = rt.alwaysAlpha() || rt.toAlpha(addr)
+                                ? alphaOf(part)
+                                : alphaOf(part) + 1;
         return fused_ != nullptr ? fused_->accessFused1(addr, phys)
                                  : phys_->access(addr, phys);
     }
@@ -97,7 +105,9 @@ class TalusController
     convexHulls(const std::vector<MissCurve>& curves);
 
     /**
-     * Post-processing: applies logical allocations.
+     * Post-processing: applies logical allocations. In the 1:1 layout
+     * the allocations are the physical targets as given (no shadow
+     * sizing, usable-fraction scaling, or rho).
      *
      * @param curves Monitored miss curves (one per logical partition,
      *        sizes in lines of the physical cache).
@@ -131,6 +141,12 @@ class TalusController
     /** Misses by logical partition. */
     uint64_t logicalMisses(PartId p) const;
 
+    /** Lines logical partition @p p occupies. */
+    uint64_t logicalOccupancy(PartId p) const;
+
+    /** Target lines of logical partition @p p. */
+    uint64_t logicalTarget(PartId p) const;
+
     /** Interval hook forwarded to the physical cache/policy. */
     void nextInterval() { phys_->nextInterval(); }
 
@@ -138,8 +154,20 @@ class TalusController
     /** accessBlock() for n != 1. */
     uint64_t accessBlockMulti(const Addr* addrs, uint64_t n, PartId part);
 
+    /** Physical partition of @p part's alpha shadow (its only one in
+     *  the 1:1 layout); beta, if any, is the next one. */
+    PartId alphaOf(PartId part) const { return part * physPerLogical_; }
+
+    /** Sum of @p f over @p p's physical partitions. */
+    template <typename F>
+    uint64_t sumPhys(PartId p, F f) const
+    {
+        return physPerLogical_ == 2 ? f(2 * p) + f(2 * p + 1) : f(p);
+    }
+
     Config cfg_;
     std::unique_ptr<PartitionedCacheBase> phys_;
+    uint32_t physPerLogical_ = 2; //!< 2 (shadow pairs) or 1 (1:1).
     /** phys_ when it runs the fused Vantage+LRU kernel, else null.
      *  Points into phys_'s pointee, so it survives moves. */
     SchemePartitionedCache* fused_ = nullptr;

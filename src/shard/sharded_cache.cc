@@ -156,52 +156,32 @@ ShardedTalusCache::gatherHits(const std::vector<ShardTask>& tasks) const
 uint64_t
 ShardedTalusCache::accessBatch(Span<const Addr> addrs, PartId part)
 {
-    if (addrs.empty())
-        return 0;
-    const uint64_t n = addrs.size();
-    if (workers_.threadCount() == 0 || n <= kPipelineBlock) {
-        // Unpipelined: one scatter, one blocking dispatch. Also the
-        // path for single-block batches, where there is nothing to
-        // overlap and the extra wait()/gather bookkeeping would be
-        // pure overhead.
-        buildTasks(addrs, part, plans_[0], tasks_[0]);
-        workers_.dispatch(tasks_[0].data(),
-                          static_cast<uint32_t>(tasks_[0].size()));
-        return gatherHits(tasks_[0]);
-    }
-
-    // Pipelined: while the pinned workers drain block k (submitted
-    // with dispatchAsync), the caller scatters block k+1 into the
-    // spare plan. Each shard still receives its full sub-stream in
-    // stream order — blocks are dispatched in order and wait() fully
-    // drains one block before the next is submitted — and chunking a
-    // TalusCache batch is bit-exact by that class's contract, so the
-    // result matches the unpipelined path bit-for-bit for any thread
-    // count. Block k's hit slots are gathered after its wait() and
-    // before block k+1's dispatch can overwrite them.
+    // Double-buffered block loop: while the pinned workers drain block
+    // k (submitted with dispatchAsync), the caller scatters block k+1
+    // into the spare plan. Each shard still receives its full
+    // sub-stream in stream order — blocks are dispatched in order and
+    // wait() fully drains one block before the next is submitted — and
+    // chunking a TalusCache batch is bit-exact by that class's
+    // contract, so the result is bit-exact for any thread count and
+    // batch length. Block k's hit slots are gathered after its wait()
+    // and before block k+1's dispatch can overwrite them. With
+    // threads == 0 dispatchAsync() runs the block inline and wait()
+    // does nothing.
     uint64_t hits = 0;
     uint32_t cur = 0;
-    buildTasks(Span<const Addr>(addrs.data(), kPipelineBlock), part,
-               plans_[cur], tasks_[cur]);
-    workers_.dispatchAsync(tasks_[cur].data(),
-                           static_cast<uint32_t>(tasks_[cur].size()));
-    uint64_t off = kPipelineBlock;
-    while (off < n) {
-        const uint64_t len = std::min(kPipelineBlock, n - off);
-        const uint32_t nxt = cur ^ 1u;
+    tasks_[1].clear(); // No block in flight yet.
+    for (uint64_t off = 0; off < addrs.size(); off += kPipelineBlock) {
+        const uint64_t len = std::min(kPipelineBlock, addrs.size() - off);
         buildTasks(Span<const Addr>(addrs.data() + off, len), part,
-                   plans_[nxt], tasks_[nxt]);
+                   plans_[cur], tasks_[cur]);
         workers_.wait();
-        hits += gatherHits(tasks_[cur]);
+        hits += gatherHits(tasks_[cur ^ 1u]);
         workers_.dispatchAsync(
-            tasks_[nxt].data(),
-            static_cast<uint32_t>(tasks_[nxt].size()));
-        cur = nxt;
-        off += len;
+            tasks_[cur].data(), static_cast<uint32_t>(tasks_[cur].size()));
+        cur ^= 1u;
     }
     workers_.wait();
-    hits += gatherHits(tasks_[cur]);
-    return hits;
+    return hits + gatherHits(tasks_[cur ^ 1u]);
 }
 
 void
@@ -230,12 +210,6 @@ void
 ShardedTalusCache::reconfigureAllAtEpoch(uint64_t epochLen)
 {
     dispatchControl(ShardOp::ReconfigureAtEpoch, epochLen);
-}
-
-void
-ShardedTalusCache::reconfigure()
-{
-    reconfigureAll();
 }
 
 TalusCache::PartStats

@@ -11,7 +11,9 @@
  * batch is split into per-shard sub-streams in stream order (a flat
  * count-then-offset scatter into one reused buffer), each shard's
  * sub-stream is driven through TalusCache::accessBatch, and the hit
- * counts are summed from cache-line-padded per-shard slots.
+ * counts are summed from cache-line-padded per-shard slots. Every
+ * batch runs one double-buffered loop over fixed-size blocks: the
+ * caller scatters block k+1 while the workers drain block k.
  *
  * With Config::threads > 0 every per-shard step runs on persistent
  * shard-pinned workers (shard/shard_workers.h), the engine's one
@@ -63,12 +65,11 @@ class ShardedTalusCache
     static constexpr uint32_t kMaxShards = 1024;
 
     /**
-     * Addresses per pipelined dispatch block (see accessBatch()):
-     * large enough that per-block dispatch costs amortize (one ring
-     * push per non-empty shard per block), small enough that two
-     * in-flight blocks' scatter buffers stay cache-resident. Batches
-     * no longer than one block run the unpipelined path — there is
-     * nothing to overlap.
+     * Addresses per dispatch block (see accessBatch()): large enough
+     * that per-block dispatch costs amortize (one ring push per
+     * non-empty shard per block), small enough that two in-flight
+     * blocks' scatter buffers stay cache-resident. A batch no longer
+     * than one block is one scatter and one dispatch.
      */
     static constexpr uint64_t kPipelineBlock = 4096;
 
@@ -123,9 +124,10 @@ class ShardedTalusCache
      * non-empty shard's sub-stream through TalusCache::accessBatch —
      * on that shard's pinned worker when Config::threads > 0 — and
      * returns the total hit count. Steady state allocates nothing.
-     * With threads > 0, batches longer than kPipelineBlock run
-     * double-buffered: the caller scatters block k+1 into a second
-     * ScatterPlan while the workers drain block k. Bit-exact with
+     * One double-buffered loop over kPipelineBlock-address blocks
+     * serves every thread count and batch length: the caller
+     * scatters block k+1 into a second ScatterPlan while the workers
+     * drain block k (threads == 0 runs each block inline). Bit-exact with
      * routing each address through access() serially, for any thread
      * count and any batch length (per-shard sub-stream order is
      * preserved across blocks, and TalusCache::accessBatch is
@@ -154,10 +156,6 @@ class ShardedTalusCache
      * thread count and any batch blocking.
      */
     void reconfigureAllAtEpoch(uint64_t epochLen);
-
-    /** Alias of reconfigureAll(), kept for the TalusCache-shaped
-     *  surface. */
-    void reconfigure();
 
     /**
      * Aggregate snapshot of logical partition @p part across all
@@ -240,9 +238,8 @@ class ShardedTalusCache
     // Scatter/dispatch/gather scratch, reused across calls so the
     // steady state allocates nothing. The engine is single-caller
     // (like TalusCache, it is externally synchronized). Two plan/task
-    // pairs so the pipelined path can scatter block k+1 while the
-    // workers still read block k's plan; the unpipelined path and
-    // control dispatch only ever use index 0.
+    // pairs so accessBatch can scatter block k+1 while the workers
+    // still read block k's plan; control dispatch only uses index 0.
     ScatterPlan plans_[2];
     std::vector<ShardTask> tasks_[2];
     std::vector<PaddedHits> shardHits_;

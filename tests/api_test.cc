@@ -151,6 +151,54 @@ TEST(TalusCacheConfig, CrossFieldRulesAreChecked)
     EXPECT_NE(cfg.validate().find("sets"), std::string::npos);
 }
 
+TEST(TalusCacheConfig, SetAssociativeGeometryLimitsAreChecked)
+{
+    // Beyond 256 ways the set-associative array cannot be built; the
+    // constructor validates before it allocates anything.
+    for (const bool talus : {true, false}) {
+        TalusCache::Config cfg = baseConfig();
+        cfg.scheme = SchemeKind::Vantage;
+        cfg.talus = talus;
+        cfg.llcLines = 8192;
+        cfg.ways = 512;
+        std::string err = cfg.validate();
+        EXPECT_NE(err.find("ways"), std::string::npos) << err;
+        EXPECT_NE(err.find("256"), std::string::npos) << err;
+        EXPECT_NE(errorOf(cfg).find("ways"), std::string::npos);
+        cfg.scheme = SchemeKind::Ideal; // No sets: any associativity.
+        EXPECT_EQ(cfg.validate(), "");
+    }
+
+    // Vantage's exact victim order holds below 2^26 lines, counted
+    // after rounding down to whole sets. Validation only: never build
+    // a cache this large in a test.
+    TalusCache::Config cfg = baseConfig();
+    cfg.scheme = SchemeKind::Vantage;
+    cfg.llcLines = (uint64_t{1} << 26) + 15; // Rounds to 2^26.
+    std::string err = cfg.validate();
+    EXPECT_NE(err.find("llcLines"), std::string::npos) << err;
+    EXPECT_NE(err.find("67108863"), std::string::npos) << err;
+    cfg.llcLines = (uint64_t{1} << 26) + 15 - 16; // 2^26 - 16 lines.
+    EXPECT_EQ(cfg.validate(), "");
+
+    // Set-associative schemes address a 32-bit line space; a larger
+    // geometry would be narrowed to the wrong size.
+    for (const SchemeKind scheme : {SchemeKind::Way, SchemeKind::Set,
+                                    SchemeKind::Futility}) {
+        cfg = baseConfig();
+        cfg.scheme = scheme;
+        cfg.llcLines = uint64_t{1} << 32;
+        err = cfg.validate();
+        EXPECT_NE(err.find("llcLines"), std::string::npos) << err;
+        EXPECT_NE(err.find("4294967295"), std::string::npos) << err;
+        cfg.llcLines = (uint64_t{1} << 32) - 1; // Rounds below 2^32.
+        EXPECT_EQ(cfg.validate(), "");
+    }
+    cfg.scheme = SchemeKind::Ideal;
+    cfg.llcLines = uint64_t{1} << 32;
+    EXPECT_EQ(cfg.validate(), "");
+}
+
 TEST(TalusCacheDeathTest, CurvesFatalWhenMonitoringDisabled)
 {
     TalusCache::Config cfg = baseConfig();

@@ -96,7 +96,7 @@ TEST(H3Golden, TableMatchesBitSerialReferenceForRandomSeeds)
 TEST(H3Golden, SmallAddressFastPathIsBitExact)
 {
     // hash() takes short-circuit paths for addr < 2^16 and < 2^32
-    // (zero high bytes fold into a precomputed constant). Pin every
+    // (zero high bytes are skipped: table[b][0] is 0). Pin every
     // path — and the boundaries between them — to the bit-serial
     // reference.
     constexpr Addr kEdges[] = {

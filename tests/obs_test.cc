@@ -486,6 +486,51 @@ TEST(CacheObsTest, StalenessAndApplyAgeTrackEpochDeferral)
               1000.0);
 }
 
+TEST(CacheObsTest, BaselineModePublishesPlainPartitionState)
+{
+    // talus=false runs the controller over one physical partition per
+    // logical partition: the published target and occupancy are that
+    // partition's own, and the routed rate is exactly 1.
+    for (const SchemeKind scheme : {SchemeKind::Way, SchemeKind::Vantage}) {
+        SCOPED_TRACE(static_cast<int>(scheme));
+        MetricRegistry reg;
+        TalusCache::Config cfg = cacheConfig(&reg);
+        cfg.talus = false;
+        cfg.scheme = scheme;
+        TalusCache cache(cfg);
+        EXPECT_EQ(cache.controller(), nullptr);
+        const std::vector<Addr> addrs = zipfTrace(30'000, 17);
+        for (size_t off = 0; off < addrs.size(); off += 1000) {
+            const PartId part = static_cast<PartId>(off / 1000 % 2);
+            cache.accessBatch(Span<const Addr>(addrs.data() + off, 1000),
+                              part);
+            // Occupancy is published per batch, for its partition.
+            const MetricsSnapshot s = reg.snapshot();
+            const MetricValue* occ = s.find("talus_cache_occupancy_lines",
+                                            labelPair("part", part));
+            ASSERT_NE(occ, nullptr);
+            EXPECT_EQ(occ->gauge,
+                      static_cast<double>(cache.cache().occupancy(part)));
+        }
+        ASSERT_GT(cache.reconfigurations(), 1u);
+        const MetricsSnapshot s = reg.snapshot();
+        for (PartId p = 0; p < 2; ++p) {
+            const MetricValue* target =
+                s.find("talus_cache_target_lines", labelPair("part", p));
+            ASSERT_NE(target, nullptr);
+            EXPECT_GT(target->gauge, 0.0);
+            EXPECT_EQ(target->gauge,
+                      static_cast<double>(cache.stats(p).targetLines));
+            EXPECT_EQ(target->gauge,
+                      static_cast<double>(cache.cache().targetOf(p)));
+            const MetricValue* rho =
+                s.find("talus_cache_rho", labelPair("part", p));
+            ASSERT_NE(rho, nullptr);
+            EXPECT_EQ(rho->gauge, 1.0);
+        }
+    }
+}
+
 TEST(ShardObsTest, SnapshotsUnderConcurrentBatchesStayMonotone)
 {
     // A live sharded engine with pinned workers publishing into the

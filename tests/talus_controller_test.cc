@@ -217,6 +217,45 @@ TEST(TalusController, LogicalStatsSumShadows)
     EXPECT_EQ(ctl->logicalAccesses(0), 5000u);
 }
 
+TEST(TalusController, OneToOneLayoutIsThePlainPartitionedCache)
+{
+    // N physical partitions for N logical ones: each logical partition
+    // is its physical partition, configure() sets the allocation as
+    // the targets, and the routers stay at rho = 1.
+    auto phys =
+        makePartitionedCache(SchemeKind::Vantage, 1024, 16, "LRU", 2, 5);
+    TalusController::Config cfg;
+    cfg.numLogicalParts = 2;
+    cfg.usableFraction = 0.9; // Shadow sizing only; unused here.
+    TalusController ctl(std::move(phys), cfg);
+    const MissCurve cliff({{0, 1.0}, {128, 0.9}, {200, 0.1}, {1024, 0.1}});
+    ctl.configure({cliff, cliff}, {600, 300});
+    EXPECT_EQ(ctl.cache().targetOf(0), 600u);
+    EXPECT_EQ(ctl.cache().targetOf(1), 300u);
+
+    std::vector<Addr> block(257);
+    for (uint64_t i = 0; i < 20'000; ++i)
+        ctl.access(i * 7 % 1500, static_cast<PartId>(i % 2));
+    for (uint64_t r = 0; r < 20; ++r) {
+        for (uint64_t i = 0; i < block.size(); ++i)
+            block[i] = (r * block.size() + i) % 900 + (Addr{1} << 30);
+        ctl.accessBlock(block.data(), block.size(),
+                        static_cast<PartId>(r % 2));
+    }
+    const PartitionedCacheBase& c = ctl.cache();
+    EXPECT_EQ(c.stats().accesses(0) + c.stats().accesses(1),
+              20'000u + 20u * block.size());
+    for (PartId p = 0; p < 2; ++p) {
+        EXPECT_TRUE(ctl.router(p).alwaysAlpha());
+        EXPECT_DOUBLE_EQ(ctl.routedRho(p), 1.0);
+        EXPECT_EQ(ctl.logicalAccesses(p), c.stats().accesses(p));
+        EXPECT_EQ(ctl.logicalMisses(p), c.stats().misses(p));
+        EXPECT_GT(ctl.logicalOccupancy(p), 0u);
+        EXPECT_EQ(ctl.logicalOccupancy(p), c.occupancy(p));
+        EXPECT_EQ(ctl.logicalTarget(p), c.targetOf(p));
+    }
+}
+
 TEST(TalusControllerDeathTest, ConfigureRejectsWrongAllocationCount)
 {
     auto ctl = makeIdealTalus(512, 2);
