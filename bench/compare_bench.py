@@ -45,6 +45,11 @@ DEFAULT_TRACKED = [
     "BM_TalusBatchedAccess",
     "BM_TalusMonitorOffAccess",
     "BM_TalusRoutedAccess",
+    # The batched shadow route at an unpredictable and a predictable
+    # alpha/beta split, over the same all-hit kernel; held to each
+    # other by OVERHEAD_INVARIANTS below.
+    "BM_TalusRoutedBlock/rho:50",
+    "BM_TalusRoutedBlock/rho:99",
     # Sharded serving engine (inline dispatch: deterministic and
     # meaningful on any core count; threaded variants are reported
     # but not tracked). The sweep uses UseRealTime — work runs on
@@ -131,6 +136,11 @@ OVERHEAD_INVARIANTS = [
     # not fall back to scalar loops or double the rows touched.
     ("BM_KernelGeometry/ways:16/lines:16384",
      "BM_KernelGeometry/ways:32/lines:16384", 0.2),
+    # The shadow route is branch-free: a 50/50 alpha/beta split must
+    # cost within 10% of a 99/1 split over the same all-hit kernel.
+    # A conditional jump on the limit compare mispredicts on about
+    # half the rho:50 accesses and put that row at ~0.6x of rho:99.
+    ("BM_TalusRoutedBlock/rho:99", "BM_TalusRoutedBlock/rho:50", 0.1),
 ]
 
 

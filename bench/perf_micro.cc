@@ -122,6 +122,52 @@ BM_TalusRoutedAccess(benchmark::State& state)
 }
 BENCHMARK(BM_TalusRoutedAccess);
 
+/**
+ * The batched shadow route at rho = range(0) / 100, as
+ * TalusController::accessBlock in 4096-address blocks. The 2048-line
+ * footprint stays resident in both shadow partitions at either rho
+ * (the hit_ratio counter reads 1), so both rows run the same all-hit
+ * kernel and differ only in how predictable the alpha/beta split is:
+ * a branch on the limit compare mispredicts on about half the
+ * accesses at rho:50 and almost none at rho:99, the branch-free route
+ * on neither. compare_bench.py holds rho:50 to rho:99.
+ */
+void
+BM_TalusRoutedBlock(benchmark::State& state)
+{
+    constexpr size_t kBlock = 4096;
+    auto phys =
+        makePartitionedCache(SchemeKind::Vantage, 16384, 16, "LRU", 2, 9);
+    TalusController::Config tc;
+    tc.numLogicalParts = 1;
+    tc.margin = 0.0;
+    TalusController ctl(std::move(phys), tc);
+    // Hull segment from 4096 to 12288 lines: s routes
+    // rho = (12288 - s) / 8192 and sizes alpha at rho * 4096 lines.
+    const MissCurve knee({{0, 1.0}, {4096, 0.5}, {12288, 0.1},
+                          {16384, 0.09}});
+    const double rho = static_cast<double>(state.range(0)) / 100.0;
+    ctl.configure({knee}, {static_cast<uint64_t>(12288 - rho * 8192)});
+    Rng rng(31);
+    std::vector<Addr> addrs(uint64_t{1} << 16);
+    for (Addr& a : addrs)
+        a = rng.below(2048);
+    // Warm the footprint in, so the timed blocks all hit.
+    for (size_t off = 0; off < addrs.size(); off += kBlock)
+        ctl.accessBlock(addrs.data() + off, kBlock, 0);
+    uint64_t hits = 0;
+    size_t off = 0;
+    for (auto _ : state) {
+        hits += ctl.accessBlock(addrs.data() + off, kBlock, 0);
+        off = (off + kBlock) & (addrs.size() - 1);
+    }
+    const auto items = state.iterations() * static_cast<int64_t>(kBlock);
+    state.SetItemsProcessed(items);
+    state.counters["hit_ratio"] =
+        static_cast<double>(hits) / static_cast<double>(items);
+}
+BENCHMARK(BM_TalusRoutedBlock)->Arg(50)->Arg(99)->ArgName("rho");
+
 void
 BM_UmonAccess(benchmark::State& state)
 {

@@ -42,6 +42,24 @@ class ShadowRouter
     bool toAlpha(Addr addr) const { return hash_.hash(addr) < limit_; }
 
     /**
+     * Shadow offset of the address that hashed to @p h: 0 = alpha,
+     * 1 = beta, exactly !toAlpha(). The hashes are uniform, so a
+     * branch on the limit compare mispredicts on ~min(rho, 1 - rho)
+     * of accesses; the comparison's flag as a number (setae/sbb) is
+     * the hardware comparator and costs the same on every access.
+     */
+    PartId offsetOfHash(uint32_t h) const
+    {
+        return static_cast<PartId>(h >= limit_);
+    }
+
+    /** Shadow offset of @p addr: offsetOfHash() of its hash. */
+    PartId offsetOf(Addr addr) const
+    {
+        return offsetOfHash(hash_.hash(addr));
+    }
+
+    /**
      * True when every address routes to alpha (rho saturated the
      * limit register at 2^bits, above any possible hash value — the
      * degenerate/unconfigured state every partition starts in). Lets
@@ -53,8 +71,8 @@ class ShadowRouter
     /** Raw limit register value, for the hardware-cost model. */
     uint64_t limit() const { return limit_; }
 
-    /** The routing hash, for batched evaluation: comparing
-     *  hashFn().hash(addr) < limit() is exactly toAlpha(). */
+    /** The routing hash, for batched evaluation: offsetOfHash() of
+     *  hashFn().hash(addr) is exactly offsetOf(addr). */
     const H3Hash& hashFn() const { return hash_; }
 
     /** Hash/limit width in bits. */

@@ -55,12 +55,10 @@ TalusController::accessBlockMulti(const Addr* addrs, uint64_t n,
     }
     routeParts_.resize(n);
     PartId* route = routeParts_.data();
-    const uint64_t limit = router.limit();
-    const PartId alpha = 2 * part;
-    const PartId beta = 2 * part + 1;
+    const PartId alpha = alphaOf(part);
     router.hashFn().forEachHash(
-        Span<const Addr>(addrs, n), [=](size_t i, uint32_t h) {
-            route[i] = h < limit ? alpha : beta;
+        Span<const Addr>(addrs, n), [&](size_t i, uint32_t h) {
+            route[i] = alpha + router.offsetOfHash(h);
         });
     return phys_->accessBatchRouted(addrs, route, n);
 }

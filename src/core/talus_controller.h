@@ -66,15 +66,17 @@ class TalusController
 
     /** Routes and performs one access for logical partition @p part.
      *  Under the fused Vantage+LRU kernel, accessFused1() is inlined
-     *  here, so route plus probe cost at most one call. */
+     *  here, so route plus probe cost at most one call. The route is
+     *  branch-free (ShadowRouter::offsetOf); the alwaysAlpha() test
+     *  is constant between reconfigurations, predicts perfectly, and
+     *  lets saturated partitions skip the hash. */
     bool access(Addr addr, PartId part)
     {
         talus_assert(part < cfg_.numLogicalParts, "bad logical partition ",
                      part);
         const ShadowRouter& rt = routers_[part];
-        const PartId phys = rt.alwaysAlpha() || rt.toAlpha(addr)
-                                ? alphaOf(part)
-                                : alphaOf(part) + 1;
+        const PartId phys =
+            alphaOf(part) + (rt.alwaysAlpha() ? 0 : rt.offsetOf(addr));
         return fused_ != nullptr ? fused_->accessFused1(addr, phys)
                                  : phys_->access(addr, phys);
     }

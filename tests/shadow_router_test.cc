@@ -105,6 +105,62 @@ TEST(ShadowRouter, RoutingIsStablePerAddress)
     }
 }
 
+/** Expects offsetOf(a) == !toAlpha(a), and offsetOfHash() of a's hash
+ *  likewise, for every address in [0, n) in each of the address-space
+ *  ids 0-3 (bit 40 and up, the tenant layout: a non-zero high word). */
+void
+expectOffsetIsNotToAlpha(const ShadowRouter& router, Addr n)
+{
+    for (Addr id = 0; id < 4; ++id) {
+        for (Addr low = 0; low < n; ++low) {
+            const Addr a = (id << 40) | low;
+            const PartId want = router.toAlpha(a) ? 0 : 1;
+            ASSERT_EQ(router.offsetOf(a), want)
+                << "addr=" << a << " limit=" << router.limit();
+            ASSERT_EQ(router.offsetOfHash(router.hashFn().hash(a)), want)
+                << "addr=" << a << " limit=" << router.limit();
+        }
+    }
+}
+
+TEST(ShadowRouter, OffsetIsNotToAlphaAtLimitEdges)
+{
+    // Limit 0 (all beta), 1, range - 1 and range (saturated: all
+    // alpha). The offset is the limit compare's flag, so the edges
+    // are where an off-by-one would show.
+    ShadowRouter router(8, 7);
+    const uint64_t range = router.hashFn().range();
+    const struct
+    {
+        double rho;
+        uint64_t limit;
+    } edges[] = {{0.0, 0},
+                 {1.0 / 256, 1},
+                 {255.0 / 256, range - 1},
+                 {1.0, range}};
+    for (const auto& e : edges) {
+        router.setRho(e.rho);
+        ASSERT_EQ(router.limit(), e.limit);
+        EXPECT_EQ(router.alwaysAlpha(), e.limit == range);
+        for (uint64_t h = 0; h < range; ++h)
+            EXPECT_EQ(router.offsetOfHash(static_cast<uint32_t>(h)),
+                      h >= e.limit ? 1u : 0u)
+                << "h=" << h << " limit=" << e.limit;
+        expectOffsetIsNotToAlpha(router, 4096);
+    }
+}
+
+TEST(ShadowRouter, OffsetIsNotToAlphaAcrossRho)
+{
+    for (uint32_t bits : {8u, 16u, 32u}) {
+        ShadowRouter router(bits, 8);
+        for (double rho : {0.2, 0.5, 0.9}) {
+            router.setRho(rho);
+            expectOffsetIsNotToAlpha(router, Addr{1} << 16);
+        }
+    }
+}
+
 TEST(ShadowRouter, SeedsGiveIndependentFunctions)
 {
     ShadowRouter a(8, 100), b(8, 200);

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/talus_controller.h"
 #include "monitor/mattson_curve.h"
 #include "tests/test_util.h"
@@ -253,6 +255,62 @@ TEST(TalusController, OneToOneLayoutIsThePlainPartitionedCache)
         EXPECT_GT(ctl.logicalOccupancy(p), 0u);
         EXPECT_EQ(ctl.logicalOccupancy(p), c.occupancy(p));
         EXPECT_EQ(ctl.logicalTarget(p), c.targetOf(p));
+    }
+}
+
+TEST(TalusController, RoutedBlockMatchesPerAddressAccess)
+{
+    // A convex knee at 256 lines and a hull vertex at 1024: with
+    // margin 0, an allocation s in (256, 1024) routes rho =
+    // (1024 - s) / 768 to alpha. Two logical partitions, so the
+    // block path's alpha + offset runs with alpha != 0 too.
+    const MissCurve knee({{0, 1.0}, {256, 0.5}, {1024, 0.1},
+                          {2048, 0.09}});
+    auto make = [] {
+        TalusController::Config cfg;
+        cfg.numLogicalParts = 2;
+        cfg.margin = 0.0;
+        return std::make_unique<TalusController>(
+            makePartitionedCache(SchemeKind::Vantage, 2048, 16, "LRU", 4,
+                                 17),
+            cfg);
+    };
+    for (double rho : {0.2, 0.5, 0.9}) {
+        SCOPED_TRACE(rho);
+        const uint64_t s =
+            static_cast<uint64_t>(std::llround(1024 - rho * 768));
+        auto blocked = make();
+        auto serial = make();
+        blocked->configure({knee, knee}, {s, s});
+        serial->configure({knee, knee}, {s, s});
+        EXPECT_NEAR(blocked->routedRho(0), rho, 1.0 / 256 + 0.002);
+
+        // Physical-partition tally of the per-address toAlpha().
+        std::vector<uint64_t> tally(4, 0);
+        Rng rng(41);
+        std::vector<Addr> block(4096);
+        for (uint32_t r = 0; r < 4; ++r) {
+            const PartId part = r % 2;
+            for (Addr& a : block)
+                a = (Addr{part + 1} << 40) | rng.below(1200);
+            uint64_t serial_hits = 0;
+            for (Addr a : block) {
+                serial_hits += serial->access(a, part);
+                const bool alpha = serial->router(part).toAlpha(a);
+                ++tally[2 * part + (alpha ? 0 : 1)];
+            }
+            EXPECT_EQ(blocked->accessBlock(block.data(), block.size(), part),
+                      serial_hits)
+                << "block " << r;
+        }
+        const CacheStats& bs = blocked->cache().stats();
+        const CacheStats& ss = serial->cache().stats();
+        for (PartId q = 0; q < 4; ++q) {
+            EXPECT_GT(tally[q], 0u) << "phys " << q;
+            EXPECT_EQ(bs.accesses(q), tally[q]) << "phys " << q;
+            EXPECT_EQ(ss.accesses(q), tally[q]) << "phys " << q;
+            EXPECT_EQ(bs.misses(q), ss.misses(q)) << "phys " << q;
+        }
     }
 }
 
