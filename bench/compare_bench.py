@@ -92,6 +92,11 @@ DEFAULT_TRACKED = [
     # row silently. The 128K- and 1M-line rows are reported only.
     "BM_KernelGeometry/ways:16/lines:16384",
     "BM_KernelGeometry/ways:32/lines:16384",
+    # Fused kernel partition count: the victim scans at 2 and 32
+    # partitions, tracked so per-set state that grows with the
+    # partition count shows up as a regression.
+    "BM_KernelPartitions/parts:2",
+    "BM_KernelPartitions/parts:32",
 ]
 
 # No-negative-scaling invariants, checked on the current run alone:

@@ -377,6 +377,46 @@ BENCHMARK(BM_KernelGeometry)
     ->ArgNames({"ways", "lines"});
 
 /**
+ * The fused Vantage+LRU kernel across partition counts: a 16-way,
+ * 16K-line Vantage cache driven through accessBatchRouted() in routed
+ * 4096-access blocks, each address to a uniformly random partition,
+ * equal targets summing to 90% of capacity, uniform addresses over
+ * twice the capacity. The miss path's victim scans cover every
+ * partition, so the per-set state they read grows with arg 0, the
+ * partition count, wherever the kernel keeps it per partition.
+ */
+void
+BM_KernelPartitions(benchmark::State& state)
+{
+    constexpr size_t kBlock = 4096;
+    constexpr uint64_t kLines = 16384;
+    const uint32_t parts = static_cast<uint32_t>(state.range(0));
+    auto cache =
+        makePartitionedCache(SchemeKind::Vantage, kLines, 16, "LRU", parts);
+    cache->setTargets(std::vector<uint64_t>(parts, kLines * 9 / 10 / parts));
+    Rng rng(37);
+    std::vector<Addr> addrs(uint64_t{1} << 16);
+    std::vector<PartId> route(addrs.size());
+    for (size_t i = 0; i < addrs.size(); ++i) {
+        addrs[i] = rng.below(2 * kLines);
+        route[i] = static_cast<PartId>(rng.below(parts));
+    }
+    // Warm the cache with one pass, so the timed blocks are steady.
+    for (size_t off = 0; off < addrs.size(); off += kBlock)
+        cache->accessBatchRouted(addrs.data() + off, route.data() + off,
+                                 kBlock);
+    size_t off = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(cache->accessBatchRouted(
+            addrs.data() + off, route.data() + off, kBlock));
+        off = (off + kBlock) & (addrs.size() - 1);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(kBlock));
+}
+BENCHMARK(BM_KernelPartitions)->Arg(2)->Arg(32)->ArgName("parts");
+
+/**
  * Scatter-dispatch-gather through the sharded serving engine, with a
  * shard-count scaling sweep. Total capacity is held constant (the
  * facade bench cache split across shards) so the sweep isolates the

@@ -10,7 +10,9 @@
  * MRU; a fresh set is rank == way). A probe compares the narrow
  * fingerprint row first and verifies candidates against the full tag,
  * the way-memoization trick: one cache line of fingerprints covers 16
- * ways where the full tag row needs two.
+ * ways where the full tag row needs two. The fused kernel keeps a
+ * third row, one owner byte per way, which ByteRow holds in registers
+ * while an access edits it.
  */
 
 #ifndef TALUS_CACHE_LRU_ROWS_H
@@ -70,10 +72,10 @@ chunksFor(uint32_t ways)
     return ways % 16 == 0 ? ways / 16 : 0;
 }
 
-/** True when a rank row can straddle a cache line: 16-, 32- and
- *  64-byte rows tile a line-aligned rank array exactly. */
+/** True when a byte row (ranks, owners) can straddle a cache line:
+ *  16-, 32- and 64-byte rows tile a line-aligned byte array exactly. */
 template <uint32_t kChunks>
-constexpr bool kRankRowMaySplit =
+constexpr bool kByteRowMaySplit =
     kChunks == 0 || 64 % (16 * kChunks) != 0;
 
 /** Fingerprint-equality mask (bit w = way w) over one row. */
@@ -201,6 +203,129 @@ argminRow(const uint8_t* row, uint32_t ways, uint64_t m)
     }
     return best & 0xFF;
 }
+
+/**
+ * One set's byte row (one byte per way) held in registers while an
+ * access reads and edits it. The constructor loads the row, match()
+ * and set() work on the registers, and store() writes the whole row
+ * back with one store per chunk, so the next access to the set loads
+ * what whole-chunk stores wrote and forwards from them — a byte store
+ * followed by a row load would stall instead. The scalar form
+ * (kChunks == 0, or no SSE2) reads and writes the row in memory byte
+ * by byte, and its store() does nothing.
+ */
+template <uint32_t kChunks>
+class ByteRow
+{
+  public:
+    ByteRow(uint8_t* row, uint32_t ways) : row_(row), ways_(ways)
+    {
+#if TALUS_ROW_SSE2
+        if constexpr (kChunks > 0)
+            for (uint32_t c = 0; c < kChunks; ++c)
+                v_[c] = _mm_loadu_si128(
+                    reinterpret_cast<const __m128i*>(row + 16 * c));
+#endif
+    }
+
+    /** Byte-equality mask: bit w set iff byte w == @p v. */
+    uint64_t match(uint8_t v) const
+    {
+#if TALUS_ROW_SSE2
+        if constexpr (kChunks > 0)
+            return matchVec(_mm_set1_epi8(static_cast<char>(v)));
+#endif
+        uint64_t m = 0;
+        for (uint32_t w = 0; w < ways_; ++w)
+            m |= static_cast<uint64_t>(row_[w] == v) << w;
+        return m;
+    }
+
+    /**
+     * Calls f(v, match(v)) for v = 0, 1, ..., n - 1 in order. The
+     * vector form steps its needle by one lane-wise add per value
+     * instead of broadcasting each v afresh, so a branch on a mask
+     * resolves a broadcast's latency sooner.
+     */
+    template <typename F>
+    void forEachMatch(uint32_t n, F&& f) const
+    {
+#if TALUS_ROW_SSE2
+        if constexpr (kChunks > 0) {
+            const __m128i one = _mm_set1_epi8(1);
+            __m128i needle = _mm_setzero_si128();
+            for (uint32_t v = 0; v < n; ++v) {
+                f(v, matchVec(needle));
+                needle = _mm_add_epi8(needle, one);
+            }
+            return;
+        }
+#endif
+        for (uint32_t v = 0; v < n; ++v)
+            f(v, match(static_cast<uint8_t>(v)));
+    }
+
+    /** Sets byte @p w to @p v. */
+    void set(uint32_t w, uint8_t v)
+    {
+#if TALUS_ROW_SSE2
+        if constexpr (kChunks > 0) {
+            // kLaneSel + 64 - w holds 0xFF at lane w and zeros around
+            // it, so chunk c's selector is a load 16 * c further on.
+            const __m128i val = _mm_set1_epi8(static_cast<char>(v));
+            for (uint32_t c = 0; c < kChunks; ++c) {
+                const __m128i sel =
+                    _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                        kLaneSel + 64 - w + 16 * c));
+                v_[c] = _mm_xor_si128(
+                    v_[c],
+                    _mm_and_si128(_mm_xor_si128(v_[c], val), sel));
+            }
+            return;
+        }
+#endif
+        row_[w] = v;
+    }
+
+    /** Writes the row back (a no-op for the scalar form). */
+    void store() const
+    {
+#if TALUS_ROW_SSE2
+        if constexpr (kChunks > 0)
+            for (uint32_t c = 0; c < kChunks; ++c)
+                _mm_storeu_si128(reinterpret_cast<__m128i*>(row_ + 16 * c),
+                                 v_[c]);
+#endif
+    }
+
+  private:
+#if TALUS_ROW_SSE2
+    /** match() against a needle already in every lane. */
+    uint64_t matchVec(__m128i needle) const
+    {
+        uint64_t m = 0;
+        for (uint32_t c = 0; c < kChunks; ++c)
+            m |= static_cast<uint64_t>(static_cast<uint32_t>(
+                     _mm_movemask_epi8(_mm_cmpeq_epi8(v_[c], needle))))
+                 << (16 * c);
+        return m;
+    }
+#endif
+
+    /** 0xFF at index 64, zeros elsewhere: set()'s lane selectors. */
+    alignas(64) static constexpr uint8_t kLaneSel[128] = {
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0xFF};
+
+    uint8_t* row_;
+    uint32_t ways_;
+#if TALUS_ROW_SSE2
+    __m128i v_[kChunks > 0 ? kChunks : 1];
+#endif
+};
 
 /** The mask of all @p ways ways of a row. */
 inline uint64_t

@@ -118,7 +118,7 @@ class SetAssocCache
     /**
      * Counter bumped by every mutation that goes through the generic
      * access()/invalidate paths. Batch kernels that mirror line state
-     * (e.g. per-set occupancy masks) compare it against the value at
+     * (e.g. per-line owner rows) compare it against the value at
      * their last rebuild: equal means no one else touched the arrays.
      * Kernels writing through lineArrays() must NOT bump it — their
      * mirrors already reflect those writes.

@@ -27,20 +27,24 @@ SchemePartitionedCache::SchemePartitionedCache(
     // index) and the policy is exactly LruPolicy — a derived policy
     // could override hooks the kernel bypasses.
     // The kernel's way scans build 64-bit match masks, so it also
-    // requires associativity <= 64 (every real configuration).
-    fusedVantage_ = dynamic_cast<VantageScheme*>(cache_.scheme());
-    if (fusedVantage_ != nullptr &&
-        cache_.numWays() <= lru_rows::kMaxWays &&
-        typeid(cache_.policy()) == typeid(LruPolicy))
+    // requires associativity <= 64 (every real configuration), and its
+    // owner bytes hold partition ids 0..253, so at most 254
+    // partitions. Beyond either, the generic path serves.
+    VantageScheme* vantage = dynamic_cast<VantageScheme*>(cache_.scheme());
+    if (vantage != nullptr && cache_.numWays() <= lru_rows::kMaxWays &&
+        vantage->numPartitions() <= kMaxFusedParts &&
+        typeid(cache_.policy()) == typeid(LruPolicy)) {
+        fusedVantage_ = vantage;
         fusedLru_ = static_cast<LruPolicy*>(&cache_.policy());
+    }
 }
 
 bool
 SchemePartitionedCache::access(Addr addr, PartId part)
 {
     // Route through the fused kernel when active so the serial path
-    // shares its cost profile and the occupancy masks stay in sync
-    // without a rebuild.
+    // shares its cost profile and the owner rows stay in sync without
+    // a rebuild.
     if (fusedLru_ != nullptr)
         return accessFused1(addr, part);
     return cache_.access(addr, part);
@@ -71,30 +75,22 @@ SchemePartitionedCache::accessBatchUniform(const Addr* addrs, uint64_t n,
 }
 
 void
-SchemePartitionedCache::rebuildMasks()
+SchemePartitionedCache::rebuildMirrors()
 {
     const uint32_t ways = cache_.numWays();
     const uint32_t sets = cache_.numSets();
     const uint32_t nparts = fusedVantage_->numPartitions();
     const SetAssocCache::LineArrays la = cache_.lineArrays();
-    unmanagedMask_.assign(sets, 0);
-    partMask_.assign(static_cast<size_t>(sets) * nparts, 0);
     const size_t lines = static_cast<size_t>(sets) * ways;
     fpTags_.resize(lines);
-    for (size_t l = 0; l < lines; ++l)
+    owners_.resize(lines);
+    for (size_t l = 0; l < lines; ++l) {
         fpTags_[l] = tagFingerprint(la.tags[l]);
-    for (uint32_t s = 0; s < sets; ++s) {
-        for (uint32_t w = 0; w < ways; ++w) {
-            const uint32_t line = s * ways + w;
-            if (!cache_.lineValid(line))
-                continue;
-            const PartId p = la.parts[line];
-            if (p == kNoPart)
-                unmanagedMask_[s] |= 1ull << w;
-            else
-                partMask_[static_cast<size_t>(s) * nparts + p] |= 1ull
-                                                                  << w;
-        }
+        const PartId p = la.parts[l];
+        owners_[l] = !cache_.lineValid(static_cast<uint32_t>(l))
+                         ? kOwnInvalid
+                     : p == kNoPart ? kOwnUnmanaged
+                                    : static_cast<uint8_t>(p);
     }
 
     CacheStats& st = cache_.stats();
@@ -106,8 +102,7 @@ SchemePartitionedCache::rebuildMasks()
     ctx_.occ = bk.occ;
     ctx_.targets = bk.targets;
     ctx_.unmanaged = bk.unmanaged;
-    ctx_.umk = unmanagedMask_.data();
-    ctx_.pmk = partMask_.data();
+    ctx_.own = owners_.data();
     ctx_.fpt = fpTags_.data();
     ctx_.accRaw = st.accessesRaw();
     ctx_.hitRaw = st.hitsRaw();
@@ -119,15 +114,15 @@ SchemePartitionedCache::rebuildMasks()
     ctx_.nparts = nparts;
     ctx_.setsPow2 = (sets & (sets - 1)) == 0;
     ctx_.hashed = cache_.hashSetIndex();
-    maskEpoch_ = cache_.mutationEpoch();
+    mirrorEpoch_ = cache_.mutationEpoch();
 }
 
 uint64_t
 SchemePartitionedCache::fusedBlock(const Addr* addrs, const PartId* route,
                                    uint64_t n, PartId upart)
 {
-    if (maskEpoch_ != cache_.mutationEpoch())
-        rebuildMasks();
+    if (mirrorEpoch_ != cache_.mutationEpoch())
+        rebuildMirrors();
     switch (ctx_.chunks) {
       case 1:
         return fusedBlockOf<1>(addrs, route, n, upart);
@@ -148,41 +143,42 @@ SchemePartitionedCache::fusedBlockOf(const Addr* addrs,
                                      const PartId* route, uint64_t n,
                                      PartId upart)
 {
-    const FusedCtx& c = ctx_;
+    const FusedCtx c = ctx_;
     const uint32_t ways = kChunks > 0 ? 16 * kChunks : c.ways;
 
-    // For real blocks, precompute all set indices in one tight pass;
-    // the loop then prefetches the fingerprint row, rank row and
-    // masks kPf accesses ahead while earlier accesses resolve. Short
-    // blocks skip both.
+    // Precompute all set indices in one tight pass; the loop then
+    // prefetches the fingerprint, rank and owner rows kPf accesses
+    // ahead while earlier accesses resolve. The last kPf slots repeat
+    // the last set, so the lookahead needs no bounds test.
     constexpr uint64_t kPf = 8;
-    uint32_t* setv = nullptr;
-    if (n >= kPf) {
-        if (setScratch_.size() < n)
-            setScratch_.resize(n);
-        setv = setScratch_.data();
-        for (uint64_t i = 0; i < n; ++i)
-            setv[i] = fusedSetOf(addrs[i]);
-    }
+    if (n == 0)
+        return 0;
+    if (setScratch_.size() < n + kPf)
+        setScratch_.resize(n + kPf);
+    uint32_t* setv = setScratch_.data();
+    for (uint64_t i = 0; i < n; ++i)
+        setv[i] = fusedSetOf(c, addrs[i]);
+    for (uint64_t i = n; i < n + kPf; ++i)
+        setv[i] = setv[n - 1];
 
     uint64_t hits = 0;
     for (uint64_t i = 0; i < n; ++i) {
-        if (setv != nullptr && i + kPf < n) {
-            const uint32_t ps = setv[i + kPf];
-            const size_t pb = static_cast<size_t>(ps) * ways;
+        const size_t pb = static_cast<size_t>(setv[i + kPf]) * ways;
+        if constexpr (kChunks > 0) {
+            for (uint32_t k = 0; k < kChunks; ++k)
+                __builtin_prefetch(&c.fpt[pb + 16 * k], 0);
+        } else {
             __builtin_prefetch(&c.fpt[pb], 0);
             __builtin_prefetch(&c.fpt[pb + ways - 1], 0);
-            __builtin_prefetch(&c.ranks[pb], 1);
-            if constexpr (lru_rows::kRankRowMaySplit<kChunks>)
-                __builtin_prefetch(&c.ranks[pb + ways - 1], 1);
-            __builtin_prefetch(&c.umk[ps], 1);
-            __builtin_prefetch(&c.pmk[static_cast<size_t>(ps) * c.nparts],
-                               1);
         }
-        const Addr addr = addrs[i];
+        __builtin_prefetch(&c.ranks[pb], 1);
+        __builtin_prefetch(&c.own[pb], 1);
+        if constexpr (lru_rows::kByteRowMaySplit<kChunks>) {
+            __builtin_prefetch(&c.ranks[pb + ways - 1], 1);
+            __builtin_prefetch(&c.own[pb + ways - 1], 1);
+        }
         hits += accessFused1At<kChunks>(
-            addr, route != nullptr ? route[i] : upart,
-            setv != nullptr ? setv[i] : fusedSetOf(addr));
+            c, addrs[i], route != nullptr ? route[i] : upart, setv[i]);
     }
     return hits;
 }
@@ -191,7 +187,7 @@ void
 SchemePartitionedCache::setTargets(const std::vector<uint64_t>& lines)
 {
     cache_.setTargets(lines);
-    // Re-targeting moves no line, so the masks, the fingerprint mirror
+    // Re-targeting moves no line, so the owner rows, the fingerprints
     // and the rest of ctx_ stay valid; only the target vector may have
     // been reseated by the assignment inside VantageScheme.
     if (fusedVantage_ != nullptr)

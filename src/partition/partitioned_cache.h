@@ -101,7 +101,13 @@ class PartitionedCacheBase
     virtual void nextInterval() {}
 };
 
-/** A SetAssocCache driven through a PartitionScheme. */
+/**
+ * A SetAssocCache driven through a PartitionScheme. Under Vantage +
+ * LRU with at most 64 ways and 254 partitions, accesses run the fused
+ * kernel (accessFused1()), which adds two per-line mirrors of the line
+ * arrays, a 4-byte tag fingerprint and a 1-byte owner, and no per-set
+ * state; otherwise the generic SetAssocCache path serves.
+ */
 class SchemePartitionedCache : public PartitionedCacheBase
 {
   public:
@@ -121,7 +127,7 @@ class SchemePartitionedCache : public PartitionedCacheBase
                                 PartId part) override;
     /**
      * Forwards to the scheme, then refreshes only the fused kernel's
-     * target pointer. No line moves, so the masks and fingerprints
+     * target pointer. No line moves, so the owner rows and fingerprints
      * stay valid and the next access pays no rebuild: a
      * reconfiguration costs O(partitions), not O(cache lines), here.
      */
@@ -145,69 +151,106 @@ class SchemePartitionedCache : public PartitionedCacheBase
     /**
      * One access through the fused Vantage+LRU kernel: a
      * devirtualized replica of SetAssocCache::access over
-     * VantageScheme + LruPolicy, in the exact operation order of the
+     * VantageScheme + LruPolicy, in the operation order of the
      * generic path (probe -> stats -> LRU touch -> promote/victim ->
-     * evict bookkeeping -> insert -> demote). Every counter the
-     * generic path's virtual hooks would touch is updated inline, so
-     * the state after each access is bit-identical to the generic
-     * path's — tests/fused_kernel_lockstep_test.cc holds the two up
-     * against each other access by access. Header-inline so
-     * TalusController::access(), the route every serial access
-     * takes, runs route + probe as one body with no further call;
-     * the batched entry points run the same body in a loop (see
-     * fusedBlock()). The row width is dispatched once here, so each
-     * instantiation's body is straight-line for its geometry.
+     * evict bookkeeping -> insert -> demote) except that the touch
+     * comes last; it writes only the rank row, which nothing between
+     * reads but the demotion argmin, and that argmin excludes the
+     * touched way, whose touch keeps every other way's rank order.
+     * Every counter the generic path's virtual hooks would touch is
+     * updated inline, so the state after each access is bit-identical
+     * to the generic path's — tests/fused_kernel_lockstep_test.cc
+     * holds the two up against each other access by access.
+     * Header-inline so TalusController::access(), the route every
+     * serial access takes, runs route + probe as one body with no
+     * further call; the batched entry points run the same body in a
+     * loop (see fusedBlock()). The row width is dispatched once here,
+     * so each instantiation's body is straight-line for its geometry.
      *
-     * Ownership is derived from the per-set masks instead of the
-     * lparts/tag arrays (the struct-of-arrays layout the kernel
-     * maintains): a hit way is unmanaged iff its umk bit is set, a
-     * victim's owner is implied by which mask selected it, and an
-     * invalid-way victim needs no eviction bookkeeping at all. The
-     * canonical arrays are still written on every mutation, so
-     * external readers (the generic path, tests, invalidation) always
-     * see the same state.
+     * Ownership is read from the owner row (one byte per way, see
+     * owners_) instead of the lparts/tag arrays: a hit way is
+     * unmanaged iff its byte says so, a victim's owner is implied by
+     * which byte value selected it, and an invalid-way victim needs
+     * no eviction bookkeeping at all. The canonical arrays are still
+     * written on every mutation, so external readers (the generic
+     * path, tests, invalidation) always see the same state.
      *
      * Caller must check fusedKernelActive() first.
      */
     __attribute__((always_inline)) inline bool
     accessFused1(Addr addr, PartId part)
     {
-        if (maskEpoch_ != cache_.mutationEpoch())
-            rebuildMasks();
-        const uint32_t set = fusedSetOf(addr);
-        switch (ctx_.chunks) {
+        if (mirrorEpoch_ != cache_.mutationEpoch())
+            rebuildMirrors();
+        const FusedCtx& c = ctx_;
+        const uint32_t set = fusedSetOf(c, addr);
+        switch (c.chunks) {
           case 1:
-            return accessFused1At<1>(addr, part, set);
+            return accessFused1Of<1>(c, addr, part, set);
           case 2:
-            return accessFused1At<2>(addr, part, set);
+            return accessFused1Of<2>(c, addr, part, set);
           case 3:
-            return accessFused1At<3>(addr, part, set);
+            return accessFused1Of<3>(c, addr, part, set);
           case 4:
-            return accessFused1At<4>(addr, part, set);
+            return accessFused1Of<4>(c, addr, part, set);
           default:
-            return accessFused1At<0>(addr, part, set);
+            return accessFused1Of<0>(c, addr, part, set);
         }
     }
 
   private:
+    /** Owner-row byte of an invalid line. */
+    static constexpr uint8_t kOwnInvalid = 0xFF;
+    /** Owner-row byte of a valid unmanaged line. */
+    static constexpr uint8_t kOwnUnmanaged = 0xFE;
+    /** Partitions the fused kernel serves: physical ids 0..253 fit an
+     *  owner byte below the two reserved values. */
+    static constexpr uint32_t kMaxFusedParts = 254;
+
+    struct FusedCtx;
+
     /** Set index of @p addr: SetAssocCache::defaultSetIndex over the
-     *  geometry captured in ctx_ (VantageScheme keeps the default
+     *  geometry captured in @p c (VantageScheme keeps the default
      *  whole-cache index). */
-    __attribute__((always_inline)) inline uint32_t
-    fusedSetOf(Addr addr) const
+    __attribute__((always_inline)) static inline uint32_t
+    fusedSetOf(const FusedCtx& c, Addr addr)
     {
-        const FusedCtx& c = ctx_;
         const uint64_t h = c.hashed ? mix64(addr ^ c.hashSeed) : addr;
         return c.setsPow2 ? static_cast<uint32_t>(h & c.setMask)
                           : static_cast<uint32_t>(h % c.sets);
     }
 
+    /** The serial access: touches the rank and owner rows before the
+     *  probe resolves, then runs the body. Every access writes the
+     *  rank row (hit promotion or insert) and reads the owner row,
+     *  but those loads sit behind the hit/miss branch; the prefetches
+     *  overlap their latency with the fingerprint probe. The block
+     *  path prefetches kPf accesses ahead instead (fusedBlockOf()). */
+    template <uint32_t kChunks>
+    __attribute__((always_inline)) inline bool
+    accessFused1Of(const FusedCtx& c, Addr addr, PartId part, uint32_t set)
+    {
+        const uint32_t ways = kChunks > 0 ? 16 * kChunks : c.ways;
+        const size_t base = static_cast<size_t>(set) * ways;
+        __builtin_prefetch(c.ranks + base, 1);
+        __builtin_prefetch(c.own + base, 1);
+        if constexpr (lru_rows::kByteRowMaySplit<kChunks>) {
+            __builtin_prefetch(c.ranks + base + ways - 1, 1);
+            __builtin_prefetch(c.own + base + ways - 1, 1);
+        }
+        return accessFused1At<kChunks>(c, addr, part, set);
+    }
+
     /**
      * The body of accessFused1() for an access whose set index
      * (fusedSetOf(addr)) is already known, over rows of @p kChunks
-     * 16-way chunks (0: ctx_.ways, scalar loops; see lru_rows). The
-     * masks and ctx_ must be current (maskEpoch_ == the cache's
-     * mutation epoch).
+     * 16-way chunks (0: c.ways, scalar loops; see lru_rows). The
+     * owner rows, fingerprints and @p c must be current (mirrorEpoch_
+     * == the cache's mutation epoch). @p c is ctx_ on the serial
+     * path and a local copy of it on the block path: members are
+     * reloaded after every row store, since vector stores may alias
+     * anything, but a local is not — and a copy per block is free,
+     * while a copy per serial access costs more than the reloads.
      *
      * always_inline because a serial access must pay at most one
      * call (into TalusController::access()): at ~150 statements
@@ -216,9 +259,8 @@ class SchemePartitionedCache : public PartitionedCacheBase
      */
     template <uint32_t kChunks>
     __attribute__((always_inline)) inline bool
-    accessFused1At(Addr addr, PartId part, uint32_t set)
+    accessFused1At(const FusedCtx& c, Addr addr, PartId part, uint32_t set)
     {
-        const FusedCtx& c = ctx_;
         const uint32_t ways = kChunks > 0 ? 16 * kChunks : c.ways;
         const uint32_t nparts = c.nparts;
         talus_assert(part < nparts, "bad partition id ", part);
@@ -227,20 +269,7 @@ class SchemePartitionedCache : public PartitionedCacheBase
         const uint32_t base = set * ways;
         Addr* tags = c.tags;
         uint8_t* rrow = c.ranks + base;
-        uint64_t* umk = c.umk;
-        uint64_t* pmk = c.pmk;
         uint32_t* fpt = c.fpt;
-
-        // Touch the rank row and masks before the probe resolves:
-        // every access writes the rank row (hit promotion or insert)
-        // and reads the set's masks, but those loads sit behind the
-        // hit/miss branch — hoisted prefetches overlap their latency
-        // with the fingerprint probe instead of serializing after it.
-        __builtin_prefetch(rrow, 1);
-        if constexpr (lru_rows::kRankRowMaySplit<kChunks>)
-            __builtin_prefetch(rrow + ways - 1, 1);
-        __builtin_prefetch(&umk[set], 1);
-        __builtin_prefetch(&pmk[static_cast<size_t>(set) * nparts], 1);
 
         // Probe the 32-bit fingerprint row — one cache line covers all
         // 16 ways, where the full tag row needs two. A fingerprint
@@ -251,12 +280,12 @@ class SchemePartitionedCache : public PartitionedCacheBase
         // tag row is never read at all.
         const uint32_t fp = tagFingerprint(addr);
         uint64_t m_fp = lru_rows::probeRow<kChunks>(fpt + base, ways, fp);
-        uint64_t m_match = 0;
+        uint32_t hw = ways; // Hit way; ways on a miss.
         while (m_fp != 0) {
             const uint32_t w =
                 static_cast<uint32_t>(__builtin_ctzll(m_fp));
             if (tags[base + w] == addr) {
-                m_match = 1ull << w;
+                hw = w;
                 break; // Tags are unique per set; lowest way first.
             }
             m_fp &= m_fp - 1;
@@ -264,60 +293,58 @@ class SchemePartitionedCache : public PartitionedCacheBase
         c.accRaw[part]++;
 
         // VantageScheme::demoteIfOverTarget with the argmin fused in,
-        // walking only p's ways minus the just-inserted one.
-        const auto demote = [&](uint32_t inserted, PartId p) {
-            if (c.occ[p] <= c.targets[p] || c.targets[p] == 0)
+        // walking only the part's ways (@p m_part, taken before the
+        // insert) minus the just-inserted one. The owner row is loaded
+        // once by whichever path edits it, edited in registers and
+        // stored back whole at the end. Both callers run it before
+        // touching the inserted way: a touch keeps the rank order of
+        // every other way, so the argmin is the same, and it no longer
+        // waits for the touch's row store.
+        const auto demote = [&](lru_rows::ByteRow<kChunks>& own,
+                                uint64_t m_part, uint32_t inserted) {
+            if (c.occ[part] <= c.targets[part] || c.targets[part] == 0)
                 return;
-            const uint64_t m =
-                pmk[static_cast<size_t>(set) * nparts + p] &
-                ~(1ull << inserted);
+            const uint64_t m = m_part & ~(1ull << inserted);
             if (m == 0)
                 return; // Cannot demote within this set; converges later.
             const uint32_t dw = lru_rows::argminRow<kChunks>(rrow, ways, m);
             c.lparts[base + dw] = kNoPart;
-            c.occ[p]--;
+            c.occ[part]--;
             (*c.unmanaged)++;
-            pmk[static_cast<size_t>(set) * nparts + p] &= ~(1ull << dw);
-            umk[set] |= 1ull << dw;
+            own.set(dw, kOwnUnmanaged);
         };
 
-        if (m_match != 0) {
-            const uint32_t hw =
-                static_cast<uint32_t>(__builtin_ctzll(m_match));
+        if (hw < ways) {
             c.hitRaw[part]++;
-            lru_rows::touchRow<kChunks>(rrow, ways, hw);
-            if ((umk[set] >> hw) & 1) {
-                // Promotion — the hit way's umk bit says it was
-                // unmanaged (masks track exactly valid+kNoPart).
+            if (c.own[base + hw] == kOwnUnmanaged) {
+                // Promotion of an unmanaged hit line.
+                lru_rows::ByteRow<kChunks> own(c.own + base, ways);
+                const uint64_t m_part = own.match(static_cast<uint8_t>(part));
                 c.lparts[base + hw] = part;
                 c.occ[part]++;
                 if (*c.unmanaged > 0)
                     (*c.unmanaged)--;
-                umk[set] &= ~(1ull << hw);
-                pmk[static_cast<size_t>(set) * nparts + part] |= 1ull
-                                                                 << hw;
-                demote(hw, part);
+                own.set(hw, static_cast<uint8_t>(part));
+                demote(own, m_part, hw);
+                own.store();
             }
+            lru_rows::touchRow<kChunks>(rrow, ways, hw);
             return true;
         }
 
         // Miss: invalid way first (no eviction bookkeeping — an
         // invalid tag implies an invalid line), else unmanaged LRU
         // (owner is kNoPart by construction), else the LRU of the most
-        // over-target partition present (owner == worst). The invalid
-        // ways fall out of the masks the miss path loads anyway — the
-        // masks cover exactly the valid lines (umk = valid+kNoPart,
-        // pmk = valid+owner), so their complement over the way range
-        // is precisely the invalid set, in way order. No tag scan.
-        uint64_t m_valid = umk[set];
-        for (uint32_t q = 0; q < nparts; ++q)
-            m_valid |= pmk[static_cast<size_t>(set) * nparts + q];
-        const uint64_t m_inval = ~m_valid & lru_rows::waySpan(ways);
+        // over-target partition present (owner == worst). One owner
+        // row compare per class, no tag scan.
+        lru_rows::ByteRow<kChunks> own(c.own + base, ways);
+        const uint64_t m_part = own.match(static_cast<uint8_t>(part));
+        const uint64_t m_inval = own.match(kOwnInvalid);
         uint32_t vw; // Victim way.
         if (m_inval != 0) {
             vw = static_cast<uint32_t>(__builtin_ctzll(m_inval));
         } else {
-            const uint64_t mu = umk[set];
+            const uint64_t mu = own.match(kOwnUnmanaged);
             if (mu != 0) {
                 // A one-bit mask needs no rank scan — the argmin of a
                 // singleton is its only member.
@@ -327,7 +354,6 @@ class SchemePartitionedCache : public PartitionedCacheBase
                 cache_.stats().recordEviction();
                 if (*c.unmanaged > 0)
                     (*c.unmanaged)--;
-                umk[set] &= ~(1ull << vw);
             } else {
                 // The set-conflict scan: the generic path's exact
                 // moreOverTarget() order, where ties go to the part
@@ -336,11 +362,10 @@ class SchemePartitionedCache : public PartitionedCacheBase
                 // once instead of each way.
                 PartId worst = kNoPart;
                 uint32_t worst_first = 0;
-                for (uint32_t q = 0; q < nparts; ++q) {
-                    const uint64_t mq =
-                        pmk[static_cast<size_t>(set) * nparts + q];
+                uint64_t worst_mask = 0;
+                own.forEachMatch(nparts, [&](uint32_t q, uint64_t mq) {
                     if (mq == 0)
-                        continue;
+                        return;
                     const uint32_t first =
                         static_cast<uint32_t>(__builtin_ctzll(mq));
                     if (worst == kNoPart ||
@@ -349,38 +374,36 @@ class SchemePartitionedCache : public PartitionedCacheBase
                                        worst_first)) {
                         worst = q;
                         worst_first = first;
+                        worst_mask = mq;
                     }
-                }
+                });
                 talus_assert(worst != kNoPart,
                              "set full of foreign lines");
-                vw = lru_rows::argminRow<kChunks>(
-                    rrow, ways,
-                    pmk[static_cast<size_t>(set) * nparts + worst]);
+                vw = lru_rows::argminRow<kChunks>(rrow, ways, worst_mask);
                 cache_.stats().recordEviction();
                 if (c.occ[worst] > 0)
                     c.occ[worst]--;
-                pmk[static_cast<size_t>(set) * nparts + worst] &=
-                    ~(1ull << vw);
             }
         }
         const uint32_t victim = base + vw;
         tags[victim] = addr;
         fpt[victim] = fp;
         c.lparts[victim] = part;
-        lru_rows::touchRow<kChunks>(rrow, ways, vw);
         c.occ[part]++;
-        pmk[static_cast<size_t>(set) * nparts + part] |= 1ull << vw;
-        demote(vw, part);
+        own.set(vw, static_cast<uint8_t>(part));
+        demote(own, m_part, vw);
+        own.store();
+        lru_rows::touchRow<kChunks>(rrow, ways, vw);
         return false;
     }
 
     /**
      * The batched entry points' kernel: a loop over accessFused1At().
      * @p route is per-address partitions, or nullptr for uniform
-     * @p upart. Blocks of at least kPf accesses first precompute
-     * every set index, so the loop can prefetch the rows of the
-     * access kPf ahead while earlier accesses resolve. Dispatches the
-     * row width once per block to fusedBlockOf().
+     * @p upart. Each block first precomputes every set index, so the
+     * loop can prefetch the rows of the access kPf ahead while earlier
+     * accesses resolve. Dispatches the row width once per block to
+     * fusedBlockOf().
      */
     uint64_t fusedBlock(const Addr* addrs, const PartId* route,
                         uint64_t n, PartId upart);
@@ -388,58 +411,57 @@ class SchemePartitionedCache : public PartitionedCacheBase
     uint64_t fusedBlockOf(const Addr* addrs, const PartId* route,
                           uint64_t n, PartId upart);
 
-    /** Rebuilds the per-set occupancy masks and the fingerprint
-     *  mirror from the line arrays, recaptures ctx_, and records the
-     *  cache's mutation epoch. Called lazily by the fused kernel when
-     *  someone mutated lines behind its back. */
-    void rebuildMasks();
+    /** Rebuilds the owner rows and the fingerprint mirror from the
+     *  line arrays, recaptures ctx_, and records the cache's mutation
+     *  epoch. Called lazily by the fused kernel when someone mutated
+     *  lines behind its back. */
+    void rebuildMirrors();
 
     SetAssocCache cache_;
     VantageScheme* fusedVantage_ = nullptr; //!< Set iff kernel usable.
     LruPolicy* fusedLru_ = nullptr;         //!< Set iff kernel usable.
 
     /**
-     * Per-set way bitmaps mirroring the line arrays, so the kernel's
-     * victim scans only visit relevant ways (bit order == way order,
-     * preserving the generic scan order exactly). unmanagedMask_[s]
-     * has bit w set iff line s*ways+w is valid and unmanaged;
-     * partMask_[s*nparts+p] iff it is valid and owned by p. Invalid
-     * lines appear in neither. Valid only while maskEpoch_ matches
-     * cache_.mutationEpoch().
+     * One owner byte per line (flat line index, like the rank rows):
+     * kOwnInvalid, kOwnUnmanaged, or the owning partition's id. The
+     * kernel's victim scans compare a set's row against one value to
+     * get a way mask (bit order == way order, preserving the generic
+     * scan order exactly). A mirror of the line arrays, valid only
+     * while mirrorEpoch_ matches cache_.mutationEpoch().
      */
-    CacheAlignedVec<uint64_t> unmanagedMask_;
-    CacheAlignedVec<uint64_t> partMask_;
+    CacheAlignedVec<uint8_t> owners_;
 
     /**
      * Per-line tagFingerprint() mirror of the tag array (flat line
      * index, like tags). Probed by the fused kernel and kept in sync
-     * by its insert path; rebuilt with the masks whenever the generic
-     * path mutates lines. Fingerprints of invalid lines are the fold
-     * of kInvalidTag — harmless, since every fingerprint match is
-     * verified against the canonical tag.
+     * by its insert path; rebuilt with the owner rows whenever the
+     * generic path mutates lines. Fingerprints of invalid lines are
+     * the fold of kInvalidTag — harmless, since every fingerprint
+     * match is verified against the canonical tag.
      */
     CacheAlignedVec<uint32_t> fpTags_;
-    uint64_t maskEpoch_ = ~0ull; //!< Forces the initial rebuild.
+    uint64_t mirrorEpoch_ = ~0ull; //!< Forces the initial rebuild.
     std::vector<uint32_t> setScratch_; //!< Precomputed set indices.
 
     /**
-     * Kernel context captured at rebuildMasks() time: every pointer
+     * Kernel context captured at rebuildMirrors() time: every pointer
      * and geometry field the fused kernel needs, packed so an access
      * reads one struct instead of chasing through four objects. All
      * pointers are stable between rebuilds — the paths that mutate
      * lines (generic access, invalidation) bump the mutation epoch,
-     * and setTargets() refreshes `targets` in place.
+     * and setTargets() refreshes `targets` in place. The block path
+     * copies it into a local, which stays in registers across the
+     * body's row stores.
      */
     struct FusedCtx
     {
         Addr* tags;
         PartId* lparts;
         uint8_t* ranks;
+        uint8_t* own; //!< owners_.
         uint64_t* occ;
         const uint64_t* targets;
         uint64_t* unmanaged;
-        uint64_t* umk;
-        uint64_t* pmk;
         uint32_t* fpt;
         uint64_t* accRaw;
         uint64_t* hitRaw;

@@ -18,7 +18,10 @@
  * mid-stream, through block sizes on both sides of the prologue's
  * prefetch distance, at every row width the kernel instantiates:
  * the scalar loops (4 and 12 ways) and 1 to 4 vector chunks (16 to
- * 64 ways).
+ * 64 ways). Partition counts reach the owner byte's ceiling of 254
+ * (and one past it, where the generic path must serve), and one case
+ * mutates the fused side through its generic cache between blocks, so
+ * the kernel rebuilds its owner rows and fingerprints mid-stream.
  */
 
 #include <gtest/gtest.h>
@@ -220,6 +223,25 @@ class Lockstep
             << where;
     }
 
+    /**
+     * Mutates both sides behind the fused kernel's back, through the
+     * fused side's generic cache(): invalidates a random line, then
+     * runs one generic access. The kernel must notice the mutation
+     * epoch and rebuild its mirrors before its next access.
+     */
+    void mutateGeneric(Rng& rng)
+    {
+        SetAssocCache& fc = fused_.cache();
+        const uint32_t line =
+            static_cast<uint32_t>(rng.below(generic_.numLines()));
+        fc.invalidateLine(line);
+        generic_.invalidateLine(line);
+        const Addr addr = nextAddr(rng, lines(), g_.sets);
+        const PartId part = static_cast<PartId>(rng.below(g_.parts));
+        ASSERT_EQ(fc.access(addr, part), generic_.access(addr, part))
+            << "generic access to " << addr;
+    }
+
     const Coverage& coverage() const { return cov_; }
 
   private:
@@ -269,15 +291,22 @@ class Lockstep
     Coverage cov_;
 };
 
+/**
+ * Runs the trace through both sides. @p fused says whether the fused
+ * kernel must be active for @p g; either way the two sides must agree.
+ * With @p mutate, Lockstep::mutateGeneric() runs after every block's
+ * state check.
+ */
 void
-runLockstep(const Geometry& g, uint64_t seed)
+runLockstep(const Geometry& g, uint64_t seed, bool fused = true,
+            bool mutate = false)
 {
     SCOPED_TRACE(testing::Message()
                  << "ways " << g.ways << ", sets " << g.sets
                  << (g.hashed ? ", hashed" : ", bit-selected") << ", "
                  << g.parts << " partitions");
     Lockstep ls(g);
-    ASSERT_TRUE(ls.fusedActive());
+    ASSERT_EQ(ls.fusedActive(), fused);
 
     // Every block size below, at, and just past the prologue's
     // prefetch distance of 8, plus a long block.
@@ -308,6 +337,11 @@ runLockstep(const Geometry& g, uint64_t seed)
             ls.expectSameState(where.c_str());
             if (testing::Test::HasFatalFailure())
                 return;
+            if (mutate) {
+                ls.mutateGeneric(rng);
+                if (testing::Test::HasFatalFailure())
+                    return;
+            }
             done += n;
         }
     }
@@ -363,6 +397,35 @@ TEST(FusedKernelLockstep, SixtyFourWaysFullMask)
     // 64 ways: the way-span mask is all ones.
     runLockstep({64, 12, true, 5}, 113);
     runLockstep({64, 9, false, 2}, 127);
+}
+
+TEST(FusedKernelLockstep, SixteenWaysFortyPartitions)
+{
+    // More partitions than ways: most sets hold only a few of them.
+    runLockstep({16, 64, true, 40}, 157);
+}
+
+TEST(FusedKernelLockstep, OwnerByteCeiling)
+{
+    // 254 partitions: the last id, 253, sits just below the owner
+    // row's unmanaged and invalid bytes.
+    runLockstep({16, 128, false, 254}, 163);
+}
+
+TEST(FusedKernelLockstep, PastOwnerByteCeilingServesGeneric)
+{
+    // 255 partitions do not fit an owner byte: the generic path serves
+    // and must still match the oracle.
+    runLockstep({16, 128, false, 255}, 167, false);
+}
+
+TEST(FusedKernelLockstep, RebuildsAfterGenericMutation)
+{
+    // Invalidations and generic accesses between blocks: each next
+    // block starts with a rebuild of the owner rows and fingerprints.
+    runLockstep({16, 50, false, 6}, 173, true, true);
+    runLockstep({12, 40, true, 3}, 179, true, true);
+    runLockstep({32, 24, true, 4}, 181, true, true);
 }
 
 } // namespace
