@@ -97,6 +97,12 @@ DEFAULT_TRACKED = [
     # partition count shows up as a regression.
     "BM_KernelPartitions/parts:2",
     "BM_KernelPartitions/parts:32",
+    # Workload generation: the guide-table Zipf draw one at a time and
+    # in blocks, and a four-tenant mixture's tiled block path. Every
+    # figure, test and perfbench set-up replays these generators.
+    "BM_ZipfNext",
+    "BM_ZipfNextBlock/lines:65536",
+    "BM_MixNextBlock",
 ]
 
 # No-negative-scaling invariants, checked on the current run alone:

@@ -35,6 +35,7 @@
 #include "util/h3_hash.h"
 #include "util/rng.h"
 #include "workload/access_stream.h"
+#include "workload/mix_stream.h"
 #include "workload/zipf_stream.h"
 
 using namespace talus;
@@ -640,6 +641,46 @@ BM_ZipfNext(benchmark::State& state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ZipfNext);
+
+/** Zipf(0.9) draws through nextBlock, 4096 addresses per call. */
+void
+BM_ZipfNextBlock(benchmark::State& state)
+{
+    ZipfStream zipf(static_cast<uint64_t>(state.range(0)), 0.9, 0, 11);
+    std::vector<Addr> block(4096);
+    for (auto _ : state) {
+        zipf.nextBlock(block.data(), block.size());
+        benchmark::DoNotOptimize(block.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(block.size()));
+}
+BENCHMARK(BM_ZipfNextBlock)->Arg(1 << 16)->ArgName("lines");
+
+/**
+ * A tenant roster as perfbench's tenant_churn_parts draws it: four
+ * tenants, Zipf(0.6) over 8192 private lines each, mixed evenly and
+ * drawn 4096 addresses per nextBlock call.
+ */
+void
+BM_MixNextBlock(benchmark::State& state)
+{
+    std::vector<MixStream::Component> tenants;
+    for (uint32_t t = 0; t < 4; ++t)
+        tenants.push_back(
+            {std::make_unique<ZipfStream>(1 << 13, 0.6, t, 101 + t), 1.0});
+    MixStream roster(std::move(tenants), 13);
+    std::vector<Addr> block(4096);
+    for (auto _ : state) {
+        roster.nextBlock(block.data(), block.size());
+        benchmark::DoNotOptimize(block.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(block.size()));
+}
+BENCHMARK(BM_MixNextBlock);
 
 /**
  * One full control-plane compute stage: curve weighting, convex

@@ -35,15 +35,20 @@ class MixStream : public AccessStream
     MixStream(std::vector<Component> components, uint64_t seed = 0x313);
 
     Addr next() override;
+    void nextBlock(Addr* out, uint64_t n) override;
     void reset() override;
     std::unique_ptr<AccessStream> clone() const override;
     const char* kind() const override { return "mix"; }
 
   private:
+    /** Component of a draw @p u: the count of cdf_[c] < u, c < k - 1. */
+    uint32_t choose(double u) const;
+
     std::vector<Component> components_;
     uint64_t seed_;
     Rng rng_;
     std::vector<double> cdf_;
+    std::vector<uint32_t> cursor_; //!< nextBlock's per-component cursor.
 };
 
 } // namespace talus

@@ -9,10 +9,11 @@
 #ifndef TALUS_WORKLOAD_ZIPF_STREAM_H
 #define TALUS_WORKLOAD_ZIPF_STREAM_H
 
-#include <vector>
+#include <memory>
 
 #include "util/rng.h"
 #include "workload/access_stream.h"
+#include "workload/guided_cdf.h"
 
 namespace talus {
 
@@ -35,13 +36,20 @@ class ZipfStream : public AccessStream
     std::unique_ptr<AccessStream> clone() const override;
     const char* kind() const override { return "zipf"; }
 
+    /**
+     * The rank CDF and its guide table, which every draw inverts;
+     * shared by all live streams with this stream's lines and alpha.
+     */
+    const GuidedCdf& table() const { return *cdf_; }
+
   private:
     uint64_t numLines_;
     double alpha_;
     Addr base_;
     uint64_t seed_;
+    uint64_t scramble_; //!< XORed into each rank; see the constructor.
     Rng rng_;
-    std::vector<double> cdf_; //!< Cumulative rank probabilities.
+    std::shared_ptr<const GuidedCdf> cdf_; //!< Rank CDF and guide table.
 };
 
 } // namespace talus

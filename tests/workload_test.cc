@@ -10,15 +10,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <set>
+#include <string>
+#include <thread>
+#include <utility>
 
 #include "cache/fully_assoc_lru.h"
 #include "monitor/mattson_curve.h"
 #include "monitor/stack_distance.h"
 #include "tests/test_util.h"
+#include "util/bits.h"
 #include "workload/cyclic_scan.h"
 #include "workload/filtered_stream.h"
+#include "workload/guided_cdf.h"
 #include "workload/mix_stream.h"
 #include "workload/phase_stream.h"
 #include "workload/prefetched_stream.h"
@@ -49,22 +58,28 @@ expectDeterministicAndResettable(Stream& s)
  * nextBlock's contract: the exact sequence n calls to next() produce.
  * The sims replay exclusively through nextBlock, so an override that
  * drifts from next() would silently change every figure — pin the
- * overriding streams (UniformRandom, ZipfStream) and one default-
- * implementation stream against a fresh clone driven via next().
+ * overriding streams (UniformRandom, ZipfStream, MixStream) and one
+ * default-implementation stream against a fresh clone driven via
+ * next(). The default block sizes are uneven so block boundaries
+ * land mid-sequence.
  */
 template <typename Stream>
 void
-expectBlockMatchesSerial(Stream& s)
+expectBlockMatchesSerial(Stream& s,
+                         std::vector<uint64_t> sizes = {1, 7, 256, 1000,
+                                                        1736})
 {
+    uint64_t total = 0;
+    for (uint64_t n : sizes)
+        total += n;
     auto serial = s.clone();
     std::vector<Addr> expect;
-    for (int i = 0; i < 3000; ++i)
+    for (uint64_t i = 0; i < total; ++i)
         expect.push_back(serial->next());
 
-    // Uneven block sizes so block boundaries land mid-sequence.
-    std::vector<Addr> got(3000);
+    std::vector<Addr> got(total);
     uint64_t off = 0;
-    for (uint64_t n : {1ull, 7ull, 256ull, 1000ull, 1736ull}) {
+    for (uint64_t n : sizes) {
         s.nextBlock(got.data() + off, n);
         off += n;
     }
@@ -87,12 +102,37 @@ TEST(Zipf, NextBlockMatchesNext)
 
 TEST(Mix, NextBlockMatchesNext)
 {
-    // MixStream inherits the default nextBlock; covers the base-class
-    // loop (and, transitively, its component streams).
+    // MixStream's tiled nextBlock against its next(); also covers its
+    // component streams' own block paths.
     std::vector<MixStream::Component> parts;
     parts.push_back({std::make_unique<UniformRandom>(500, 1, 3), 0.5});
     parts.push_back({std::make_unique<ZipfStream>(512, 0.8, 2, 5), 0.5});
     MixStream s(std::move(parts), 11);
+    expectBlockMatchesSerial(s);
+}
+
+TEST(Mix, NextBlockMatchesNextAcrossTiles)
+{
+    // Unequal weights, a scan that uses the default nextBlock, and a
+    // nested mixture, at block sizes around MixStream's 256-address
+    // tile and one spanning many tiles.
+    std::vector<MixStream::Component> inner;
+    inner.push_back({std::make_unique<ZipfStream>(256, 1.1, 4, 8), 2.0});
+    inner.push_back({std::make_unique<CyclicScan>(40, 5), 1.0});
+    std::vector<MixStream::Component> parts;
+    parts.push_back({std::make_unique<ZipfStream>(1000, 0.8, 1, 5), 5.0});
+    parts.push_back({std::make_unique<UniformRandom>(300, 2, 6), 1.0});
+    parts.push_back({std::make_unique<CyclicScan>(77, 3), 0.25});
+    parts.push_back({std::make_unique<MixStream>(std::move(inner), 9), 2.5});
+    MixStream s(std::move(parts), 12);
+    expectBlockMatchesSerial(s, {255, 256, 257, 4096 + 3, 1, 255});
+}
+
+TEST(StackDist, DefaultNextBlockMatchesNext)
+{
+    // StackDistStream does not override nextBlock: this covers the
+    // base-class loop.
+    StackDistStream s({{4, 0.5}, {16, 0.2}}, 0.3, 0, 17);
     expectBlockMatchesSerial(s);
 }
 
@@ -556,6 +596,287 @@ TEST(Scenarios, PhaseLabelsTellTheStory)
     auto churn = makeTenantChurnStream(t);
     ASSERT_EQ(churn->numPhases(), 3u);
     EXPECT_EQ(churn->phaseLabel(0), "tenants-AB");
+}
+
+// ------------------------------------------------ cross-version golden
+
+/*
+ * NextBlockMatchesNext compares each stream with itself, so an index
+ * bug shared by next() and nextBlock() would pass it. These folds were
+ * recorded from the binary-search generators (one std::lower_bound
+ * over the whole CDF per draw, and a MixStream without nextBlock);
+ * every later generator must reproduce them through both paths.
+ */
+
+constexpr uint64_t kGoldenDraws = 1 << 16;
+
+/**
+ * Chains @p a into the fold @p h. mix64 is a bijection; the odd
+ * increment keeps a run of zero addresses from folding to zero.
+ */
+uint64_t
+foldAddr(uint64_t h, Addr a)
+{
+    return mix64((h + 0x9E3779B97F4A7C15ull) ^ a);
+}
+
+uint64_t
+foldViaNext(AccessStream& s)
+{
+    uint64_t h = 0;
+    for (uint64_t i = 0; i < kGoldenDraws; ++i)
+        h = foldAddr(h, s.next());
+    return h;
+}
+
+/** Uneven blocks that straddle a 256-address tile and phase ends. */
+uint64_t
+foldViaBlocks(AccessStream& s)
+{
+    const uint64_t sizes[] = {1, 255, 256, 257, 4099, 3, 1000};
+    std::vector<Addr> buf(4099);
+    uint64_t h = 0;
+    for (uint64_t done = 0, k = 0; done < kGoldenDraws; ++k) {
+        const uint64_t n =
+            std::min(sizes[k % std::size(sizes)], kGoldenDraws - done);
+        s.nextBlock(buf.data(), n);
+        for (uint64_t i = 0; i < n; ++i)
+            h = foldAddr(h, buf[i]);
+        done += n;
+    }
+    return h;
+}
+
+/** perfbench's tenant_churn_parts roster: Zipf(0.6), 8192 lines each. */
+std::unique_ptr<AccessStream>
+tenantRoster(std::vector<uint32_t> tenants, uint64_t key)
+{
+    std::vector<MixStream::Component> mix;
+    for (uint32_t t : tenants)
+        mix.push_back(
+            {std::make_unique<ZipfStream>(1 << 13, 0.6, t, mix64(key + t)),
+             1.0});
+    return std::make_unique<MixStream>(std::move(mix), mix64(key + 8));
+}
+
+struct GoldenCase
+{
+    const char* name;
+    std::function<std::unique_ptr<AccessStream>()> make;
+    uint64_t fold;
+};
+
+std::vector<GoldenCase>
+goldenCases()
+{
+    auto zipf = [](uint64_t lines, double alpha, uint32_t space) {
+        return [=] {
+            return std::unique_ptr<AccessStream>(
+                std::make_unique<ZipfStream>(lines, alpha, space, 0x6011));
+        };
+    };
+    auto roster = [](std::vector<uint32_t> tenants, uint64_t key) {
+        return [=] { return tenantRoster(tenants, key); };
+    };
+    std::vector<GoldenCase> cases = {
+        {"zipf/1", zipf(1, 0.8, 0), 0x76c1c0744dd28e01ull},
+        {"zipf/3", zipf(3, 0.8, 0), 0xa7c35823ce799f42ull},
+        {"zipf/1000", zipf(1000, 0.8, 0), 0x08bc781d1fab913dull},
+        {"zipf/8192/space3", zipf(8192, 0.6, 3), 0x6a233bcded73086dull},
+        {"zipf/65536", zipf(65536, 0.9, 0), 0x1e8d43639ce508baull},
+        {"zipf/4096/alpha0", zipf(4096, 0.0, 0), 0x4bc3e9272eac4c24ull},
+        {"zipf/4096/alpha2.5", zipf(4096, 2.5, 0), 0xff83a0cc3dda095cull},
+        {"roster/012", roster({0, 1, 2}, 1000), 0x1a837a993d2dbfe6ull},
+        {"roster/0123", roster({0, 1, 2, 3}, 1016), 0xcef34f2bfdbca204ull},
+        {"roster/123", roster({1, 2, 3}, 1032), 0xfd6ccfa43a6b078dull},
+        {"roster/023", roster({0, 2, 3}, 1048), 0x5e9171a6425e7dd1ull},
+        {"tenant_churn",
+         [] {
+             TenantChurnSpec t;
+             t.phaseAccesses = 10007; // Several laps of all three rosters.
+             return std::unique_ptr<AccessStream>(makeTenantChurnStream(t));
+         },
+         0x0fa7f7085a801f90ull},
+        {"nested_mix",
+         [] {
+             std::vector<MixStream::Component> inner;
+             inner.push_back(
+                 {std::make_unique<ZipfStream>(4096, 0.9, 4, 8), 1.0});
+             inner.push_back({std::make_unique<CyclicScan>(64, 5), 2.0});
+             std::vector<MixStream::Component> outer;
+             outer.push_back(
+                 {std::make_unique<ZipfStream>(1000, 0.8, 1, 5), 3.0});
+             outer.push_back(
+                 {std::make_unique<UniformRandom>(777, 2, 6), 1.0});
+             outer.push_back({std::make_unique<CyclicScan>(300, 3), 0.5});
+             outer.push_back(
+                 {std::make_unique<MixStream>(std::move(inner), 9), 1.5});
+             return std::unique_ptr<AccessStream>(
+                 std::make_unique<MixStream>(std::move(outer), 10));
+         },
+         0xa41dd94bc8581190ull},
+        {"two_phase",
+         [] {
+             std::vector<PhaseStream::Phase> phases;
+             phases.push_back(
+                 {"roster", tenantRoster({0, 1, 2, 3}, 2000), 1000});
+             phases.push_back(
+                 {"zipf", std::make_unique<ZipfStream>(2048, 0.7, 5, 11),
+                  3001});
+             return std::unique_ptr<AccessStream>(
+                 std::make_unique<PhaseStream>(std::move(phases)));
+         },
+         0x4976421be96fda41ull},
+    };
+    return cases;
+}
+
+TEST(WorkloadGolden, FoldsMatchTheBinarySearchGenerators)
+{
+    for (const GoldenCase& c : goldenCases()) {
+        auto serial = c.make();
+        auto blocked = c.make();
+        const uint64_t via_next = foldViaNext(*serial);
+        const uint64_t via_blocks = foldViaBlocks(*blocked);
+        EXPECT_EQ(via_next, c.fold)
+            << c.name << ": next() fold 0x" << std::hex << via_next;
+        EXPECT_EQ(via_blocks, c.fold)
+            << c.name << ": nextBlock() fold 0x" << std::hex << via_blocks;
+    }
+}
+
+
+// ---------------------------------------------------- guide search
+
+/** Every table the guide search must invert exactly. */
+std::vector<std::pair<std::string, GuidedCdf>>
+guidedShapes()
+{
+    std::vector<std::pair<std::string, GuidedCdf>> shapes;
+    auto zipf = [&](uint64_t lines, double alpha) {
+        shapes.emplace_back(
+            "zipf/" + std::to_string(lines) + "/" + std::to_string(alpha),
+            ZipfStream(lines, alpha).table());
+    };
+    zipf(1, 0.8);
+    zipf(3, 0.8);
+    zipf(17, 0.8);
+    zipf(1000, 0.8);
+    zipf(8192, 0.6);
+    zipf(65536, 0.9);
+    zipf(4096, 0.0);
+    zipf(4096, 2.5);
+    // 1 - 2^-(r+1) rounds to exactly 1.0 from r = 53 on: a tail of
+    // thousands of equal entries, most guide buckets empty.
+    std::vector<double> tail(5000);
+    for (size_t r = 0; r < tail.size(); ++r)
+        tail[r] = 1.0 - std::ldexp(1.0, -static_cast<int>(r + 1));
+    shapes.emplace_back("tail_of_ones", GuidedCdf(std::move(tail)));
+    return shapes;
+}
+
+TEST(GuidedCdf, IndexMatchesLowerBound)
+{
+    for (const auto& [name, table] : guidedShapes()) {
+        const std::vector<double>& cdf = table.cdf();
+        auto expectExact = [&](double u) {
+            const auto want = static_cast<uint64_t>(
+                std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+            ASSERT_EQ(table.index(u), want)
+                << name << " u=" << std::hexfloat << u;
+        };
+        // Every bucket edge, and the doubles on either side of it.
+        const uint64_t g = table.buckets();
+        for (uint64_t j = 0; j <= g; ++j) {
+            const double edge = static_cast<double>(j) / g;
+            if (j < g)
+                expectExact(edge);
+            if (j > 0)
+                expectExact(std::nextafter(edge, 0.0));
+            if (j < g)
+                expectExact(std::nextafter(edge, 1.0));
+        }
+        expectExact(0.0);
+        expectExact(1.0 - 0x1.0p-53);
+        Rng rng(0x6D1D);
+        for (int i = 0; i < 1'000'000; ++i)
+            expectExact(rng.unit());
+
+        // The interleaved form ZipfStream::nextBlock uses.
+        double u[8];
+        uint64_t got[8];
+        for (int i = 0; i < 10'000; ++i) {
+            for (double& x : u)
+                x = rng.unit();
+            table.indexLanes<8>(u, got);
+            for (int k = 0; k < 8; ++k)
+                ASSERT_EQ(got[k], table.index(u[k])) << name;
+        }
+    }
+}
+
+TEST(GuidedCdf, GuideIsTheSmallestPowerOfTwoAtOneSixteenth)
+{
+    for (const auto& [name, table] : guidedShapes()) {
+        const uint64_t g = table.buckets();
+        EXPECT_EQ(g & (g - 1), 0u) << name;
+        EXPECT_GE(g * GuidedCdf::kEntriesPerBucket, table.size()) << name;
+        if (g > 1) {
+            EXPECT_LT(g / 2 * GuidedCdf::kEntriesPerBucket, table.size())
+                << name;
+        }
+    }
+    EXPECT_EQ(ZipfStream(1 << 16, 0.9).table().buckets(), 1u << 12);
+    EXPECT_EQ(ZipfStream(1, 0.9).table().buckets(), 1u);
+}
+
+TEST(Zipf, EqualStreamsShareOneTable)
+{
+    // The table is a function of (lines, alpha) alone; seeds and
+    // address spaces do not change it.
+    ZipfStream a(8192, 0.6, 0, 1);
+    ZipfStream b(8192, 0.6, 3, 2);
+    ZipfStream c(8192, 0.9, 0, 1);
+    ZipfStream d(4096, 0.6, 0, 1);
+    EXPECT_EQ(&a.table(), &b.table());
+    EXPECT_NE(&a.table(), &c.table());
+    EXPECT_NE(&a.table(), &d.table());
+    auto copy = a.clone();
+    EXPECT_EQ(&static_cast<ZipfStream&>(*copy).table(), &a.table());
+}
+
+TEST(Zipf, SharedTablesAreThreadSafe)
+{
+    // Streams built and dropped on several threads at once draw what a
+    // stream built alone draws.
+    ZipfStream alone(2048, 0.8, 0, 3);
+    const auto want = test::collect(alone, 500);
+    std::vector<std::thread> threads;
+    std::vector<int> mismatches(4, 0);
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < 50; ++i) {
+                ZipfStream s(2048, 0.8, 0, 3);
+                mismatches[t] += test::collect(s, 500) != want;
+            }
+        });
+    }
+    for (std::thread& th : threads)
+        th.join();
+    EXPECT_EQ(mismatches, std::vector<int>(4, 0));
+}
+
+TEST(GuidedCdf, ConstructorLimits)
+{
+    // Guide entries are uint32_t ranks.
+    static_assert(GuidedCdf::kMaxEntries - 1 ==
+                  std::numeric_limits<uint32_t>::max());
+    // Checked before the CDF is allocated.
+    EXPECT_DEATH(ZipfStream(GuidedCdf::kMaxEntries + 1, 0.9),
+                 "exceeds 2\\^32");
+    EXPECT_DEATH(GuidedCdf(std::vector<double>{}), "1 to 2\\^32");
+    EXPECT_DEATH(GuidedCdf({0.5, 0.75}), "exactly 1.0");
+    EXPECT_DEATH(GuidedCdf({0.5, 0.25, 1.0}), "non-decreasing");
 }
 
 } // namespace
