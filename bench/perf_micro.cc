@@ -683,10 +683,11 @@ BM_MixNextBlock(benchmark::State& state)
 BENCHMARK(BM_MixNextBlock);
 
 /**
- * One full control-plane compute stage: curve weighting, convex
- * hulls, and the allocator, double-buffered through a ControlPlane —
- * the entire off-hot-path cost of one reconfiguration decision for a
- * two-partition cache with 64-point monitored curves.
+ * One full control-plane compute stage: one convex hull per monitored
+ * curve, the hulls weighted by interval volume, and the allocator,
+ * double-buffered through a ControlPlane — the entire off-hot-path
+ * cost of one reconfiguration decision for a two-partition cache with
+ * 64-point monitored curves.
  */
 void
 BM_ControlPlaneStep(benchmark::State& state)

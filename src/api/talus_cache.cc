@@ -376,8 +376,8 @@ TalusCache::prepareReconfigure()
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
             .count()));
     uint64_t vertices = 0;
-    for (const uint32_t v : plane_.pending().allocCurvePoints)
-        vertices += v;
+    for (const MissCurve& hull : plane_.pending().curves)
+        vertices += hull.numPoints();
     obs_->hullVertices->set(static_cast<double>(vertices));
 }
 

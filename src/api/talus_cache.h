@@ -3,15 +3,16 @@
  * TalusCache: the single self-managing entry point to the library.
  *
  * The paper's pitch is that Talus is simple to deploy (Fig. 7):
- * utility monitors feed miss curves to convex hulls, hulls feed the
- * partitioning algorithm, and the controller turns allocations into
- * shadow-partition sizes and sampling rates. TalusCache owns that
- * whole loop. One validated Config builds the partitioned cache, the
- * TalusController, one CombinedUMon per logical partition, and the
- * allocator. Baselines (Config::talus false) run through the same
- * controller over one physical partition per logical partition, whose
- * routers stay at rho = 1: the controller alone knows the layout, and
- * both modes share every step below. Callers then just:
+ * utility monitors feed miss curves to convex hulls, and the hulls
+ * feed the partitioning algorithm and the controller, which turns
+ * allocations into shadow-partition sizes and sampling rates.
+ * TalusCache owns that whole loop. One validated Config builds the
+ * partitioned cache, the TalusController, one CombinedUMon per
+ * logical partition, and the allocator. Baselines (Config::talus
+ * false) run through the same controller over one physical partition
+ * per logical partition, whose routers stay at rho = 1: the
+ * controller alone knows the layout, and both modes share every step
+ * below. Callers then just:
  *
  *     TalusCache::Config cfg;
  *     cfg.llcLines = 8192;
@@ -28,9 +29,9 @@
  * stages the cache also exposes separately:
  *
  *  - prepareReconfigure() snapshots the monitors into an immutable
- *    ControlInput and runs the pure ControlStep (hulls + allocation)
- *    on the cache's ControlPlane, staging a new configuration
- *    without touching the data path;
+ *    ControlInput and runs the pure ControlStep (one hull per
+ *    partition + allocation) on the cache's ControlPlane, staging a
+ *    new configuration without touching the data path;
  *  - applyReconfigure() commits the staged configuration now, or
  *    applyReconfigureAtEpoch(n) defers it to the next access-count
  *    epoch boundary (a fixed access count — deterministic, never

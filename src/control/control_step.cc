@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/talus_controller.h"
+#include "core/convex_hull.h"
 #include "util/log.h"
 
 namespace talus {
@@ -20,18 +20,23 @@ runControlStep(const ControlInput& in, Allocator& allocator,
                  " interval counters for ", in.numParts, " partitions");
     talus_assert(in.granule >= 1, "granule must be >= 1");
 
-    // Weight each partition's miss-ratio curve by its interval access
-    // volume so the allocator compares misses, not ratios; +1 keeps a
-    // silent partition from degenerating to an all-zero curve.
+    // One hull per partition, for configure()'s alpha/beta anchors and
+    // the allocator. The allocator's curves are weighted by interval
+    // access volume so it compares misses, not ratios (+1 keeps a
+    // silent partition's curve nonzero). A positive weight keeps a
+    // hull's vertices (up to rounding on nearly collinear points), so
+    // the weighted hull stands in for the hull of the weighted curve.
+    out.curves.clear();
+    out.curves.reserve(in.numParts);
     std::vector<MissCurve> alloc_curves;
     alloc_curves.reserve(in.numParts);
-    for (uint32_t p = 0; p < in.numParts; ++p)
-        alloc_curves.push_back(in.curves[p].scaled(
+    for (uint32_t p = 0; p < in.numParts; ++p) {
+        out.curves.push_back(ConvexHull(in.curves[p]).hull());
+        const MissCurve& base =
+            in.allocateOnHulls ? out.curves[p] : in.curves[p];
+        alloc_curves.push_back(base.scaled(
             1.0, static_cast<double>(in.intervalAccesses[p]) + 1.0));
-
-    // Pre-processing: Talus promises the convex hulls.
-    if (in.allocateOnHulls)
-        alloc_curves = TalusController::convexHulls(alloc_curves);
+    }
 
     // The cache may round capacity down to whole sets; never hand the
     // allocator more lines than physically exist.
@@ -42,13 +47,7 @@ runControlStep(const ControlInput& in, Allocator& allocator,
     out.epoch = 0; // The ControlPlane stamps epochs; standalone
                    // steps carry no tag (and reused buffers none
                    // stale).
-    out.allocCurvePoints.clear();
-    out.allocCurvePoints.reserve(in.numParts);
-    for (const MissCurve& c : alloc_curves)
-        out.allocCurvePoints.push_back(
-            static_cast<uint32_t>(c.numPoints()));
     out.alloc = allocator.allocate(alloc_curves, usable, in.granule);
-    out.curves = in.curves;
 }
 
 } // namespace talus

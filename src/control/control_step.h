@@ -12,21 +12,20 @@
  *  - ControlInput is an immutable snapshot of everything one
  *    reconfiguration decision needs — per-partition monitor curves,
  *    interval access volumes, and the capacity/mechanism knobs.
- *  - ControlOutput is the decision — the curves to configure with and
- *    the logical allocation — tagged with the epoch it was computed
- *    for.
+ *  - ControlOutput is the decision — each partition's convex hull
+ *    and the logical allocation — tagged with the epoch it was
+ *    computed for.
  *  - runControlStep() maps one to the other. It reads nothing but its
  *    arguments and writes nothing but its result, so control steps
  *    for independent caches (e.g. the shards of a ShardedTalusCache)
  *    can run concurrently on a worker pool.
  *
- * The math is the exact sequence TalusCache::reconfigure() ran
- * inline before the extraction: weight each partition's miss-ratio
- * curve by its interval access volume (so the allocator compares
- * misses, not ratios), optionally take convex hulls (the Talus
- * promise that makes hill climbing optimal), clamp capacity to what
- * physically exists, haircut the unmanaged region for plain Vantage,
- * and run the allocator.
+ * The math: hull each partition's curve once (the Talus promise that
+ * makes hill climbing optimal, and configure()'s alpha/beta anchors),
+ * weight the hull (or the raw curve, when not allocating on hulls) by
+ * the partition's interval access volume (so the allocator compares
+ * misses, not ratios), clamp capacity to what physically exists,
+ * haircut the unmanaged region for plain Vantage, and allocate.
  */
 
 #ifndef TALUS_CONTROL_CONTROL_STEP_H
@@ -59,21 +58,17 @@ struct ControlInput
 };
 
 /**
- * One reconfiguration decision: the raw curves to configure shadow
- * partitions from and the logical allocation. The epoch tag is the
- * ControlPlane's alone to assign (monotonic over computed steps);
- * standalone runControlStep() calls leave it 0.
+ * One reconfiguration decision: the monitored curves' hulls, which
+ * configure() sizes shadow partitions from, and the logical
+ * allocation. The epoch tag is the ControlPlane's alone to assign
+ * (monotonic over computed steps); standalone runControlStep() calls
+ * leave it 0.
  */
 struct ControlOutput
 {
     uint64_t epoch = 0;            //!< ControlPlane-assigned tag.
-    std::vector<MissCurve> curves; //!< Curves for configure().
+    std::vector<MissCurve> curves; //!< Hulls, one per part.
     std::vector<uint64_t> alloc;   //!< Lines per logical partition.
-    /** Points per partition in the curves the allocator saw — hull
-     *  vertex counts when ControlInput::allocateOnHulls, raw monitor
-     *  point counts otherwise. Diagnostic: how much structure each
-     *  hull kept (observability reads it; apply ignores it). */
-    std::vector<uint32_t> allocCurvePoints;
 };
 
 /**

@@ -16,16 +16,16 @@
  *    they start in and configure() sets the allocation as targets.
  *
  * Reconfiguration follows the paper's software flow:
- *  - pre-processing: convexHulls() turns monitored miss curves into
- *    hulls for the system's partitioning algorithm (which can then
- *    safely assume convexity);
+ *  - pre-processing: runControlStep() hulls each monitored miss curve
+ *    once, so the partitioning algorithm can assume convexity;
  *  - the partitioning algorithm (alloc/) runs on the hulls, producing
  *    logical allocations — the controller does NOT choose them;
- *  - post-processing: configure() converts logical allocations into
- *    shadow partition sizes and sampling rates (Theorem 6 + the 5%
- *    safety margin), handles way-partitioning coarsening by
- *    recomputing rho from the achieved sizes (Sec. VI-B), and scales
- *    targets by the scheme's usable fraction (0.9 for Vantage).
+ *  - post-processing: configure() converts logical allocations and the
+ *    same hulls into shadow partition sizes and sampling rates
+ *    (Theorem 6 + the 5% safety margin), handles way-partitioning
+ *    coarsening by recomputing rho from the achieved sizes (Sec.
+ *    VI-B), and scales targets by the scheme's usable fraction (0.9
+ *    for Vantage).
  */
 
 #ifndef TALUS_CORE_TALUS_CONTROLLER_H
@@ -100,8 +100,8 @@ class TalusController
     }
 
     /**
-     * Pre-processing: convex hulls of monitored miss curves, in the
-     * same order. Partitioning algorithms consume these.
+     * Convex hulls of miss curves, in the same order, for callers
+     * that wire monitors and allocators by hand.
      */
     static std::vector<MissCurve>
     convexHulls(const std::vector<MissCurve>& curves);
@@ -111,8 +111,9 @@ class TalusController
      * the allocations are the physical targets as given (no shadow
      * sizing, usable-fraction scaling, or rho).
      *
-     * @param curves Monitored miss curves (one per logical partition,
-     *        sizes in lines of the physical cache).
+     * @param curves Miss curves or their hulls (one per logical
+     *        partition, sizes in lines of the physical cache); a hull
+     *        is its own hull, so hulls cost O(vertices) here.
      * @param logical_alloc Lines allocated to each logical partition
      *        by the partitioning algorithm; the sum must not exceed
      *        capacity.

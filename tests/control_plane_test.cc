@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -24,6 +26,7 @@
 #include "api/talus.h"
 #include "control/control_plane.h"
 #include "control/control_step.h"
+#include "core/convex_hull.h"
 #include "util/rng.h"
 
 namespace talus {
@@ -130,11 +133,201 @@ TEST(ControlStep, AllocatesWithinUsableCapacityAndEchoesCurves)
         total += a;
     EXPECT_LE(total, in.capacityLines);
     EXPECT_GT(total, 0u);
-    // The raw (unweighted, unhulled) curves pass through for
+    // Each partition's convex hull (unweighted) passes through for
     // configure() to size shadow partitions from.
     ASSERT_EQ(out.curves.size(), in.curves.size());
-    EXPECT_EQ(out.curves[0].points().size(),
-              in.curves[0].points().size());
+    for (size_t p = 0; p < in.curves.size(); ++p) {
+        const MissCurve hull = ConvexHull(in.curves[p]).hull();
+        ASSERT_EQ(out.curves[p].numPoints(), hull.numPoints())
+            << "part " << p;
+        for (size_t i = 0; i < hull.numPoints(); ++i) {
+            EXPECT_EQ(out.curves[p].point(i).size, hull.point(i).size);
+            EXPECT_EQ(out.curves[p].point(i).misses,
+                      hull.point(i).misses);
+        }
+        EXPECT_TRUE(out.curves[p].isConvex()) << "part " << p;
+    }
+}
+
+/**
+ * A seeded monitor-shaped curve of kind @p kind (mod 6): UMON k/N
+ * values at way granularity, a random walk with rises, a drop into a
+ * long flat tail, a cliff, points with duplicate sizes, and collinear
+ * runs (dyadic, or UMON values that round off their line).
+ */
+MissCurve
+monitorShapedCurve(Rng& rng, uint32_t kind)
+{
+    std::vector<CurvePoint> pts;
+    switch (kind % 6) {
+    case 0: { // UMON: (sampled - cumulative way hits) / sampled.
+        const uint32_t ways = 16u << rng.below(3);
+        const double granularity = 64.0 * (1 + rng.below(64));
+        const uint64_t sampled = 1 + rng.below(1 << 20);
+        uint64_t hits = 0;
+        pts.push_back({0.0, 1.0});
+        for (uint32_t w = 0; w < ways; ++w) {
+            hits += rng.below((sampled - hits) / (ways - w) * 2 + 1);
+            hits = std::min(hits, sampled);
+            pts.push_back({granularity * (w + 1),
+                           static_cast<double>(sampled - hits) /
+                               static_cast<double>(sampled)});
+        }
+        break;
+    }
+    case 1: { // Random walk: drops, plateaus and rises.
+        double size = 0, value = rng.unit();
+        for (int i = 0; i < 8 + static_cast<int>(rng.below(120)); ++i) {
+            pts.push_back({size, value});
+            size += 1 + static_cast<double>(rng.below(300));
+            value = std::max(0.0, value + (rng.unit() - 0.6) * 0.1);
+        }
+        break;
+    }
+    case 2: { // A convex drop into a flat tail.
+        const int knee = 2 + static_cast<int>(rng.below(20));
+        const double floor = rng.unit() * 0.3;
+        for (int i = 0; i <= knee + 40; ++i)
+            pts.push_back({i * 128.0,
+                           i < knee ? floor + (1 - floor) *
+                                                  (knee - i) * (knee - i) /
+                                                  (knee * knee)
+                                    : floor});
+        break;
+    }
+    case 3: { // A cliff: flat, one steep drop, flat.
+        const int at = 4 + static_cast<int>(rng.below(40));
+        const double hi = 0.5 + 0.5 * rng.unit(), lo = hi * rng.unit();
+        for (int i = 0; i <= at + 20; ++i)
+            pts.push_back({i * 256.0, i <= at ? hi - 1e-3 * rng.unit()
+                                              : lo});
+        break;
+    }
+    case 4: { // Duplicate sizes: MissCurve keeps the lowest value.
+        double value = 1.0;
+        for (int i = 0; i < 48; ++i) {
+            const double size = 64.0 * (i / 3);
+            pts.push_back({size, value * (0.5 + rng.unit())});
+            value *= 0.97;
+        }
+        break;
+    }
+    default: { // Collinear runs: dyadic (exact in doubles) or a
+               // UMON's equal per-way hits, (N - k*h) / N, whose
+               // roundings leave the run only nearly collinear.
+        const bool dyadic = rng.below(2) == 0;
+        const uint64_t sampled = 3 + rng.below(1 << 20);
+        uint64_t hits = 0;
+        double size = 0;
+        pts.push_back({size, 1.0});
+        for (int run = 0; run < 4; ++run) {
+            const double dx = 64.0 * (1 + rng.below(8));
+            const uint64_t dh = 1 + rng.below(sampled / 32 + 1);
+            const double dy = std::ldexp(1.0, -static_cast<int>(
+                                                  4 + rng.below(6)));
+            for (int i = 0; i < 3 + static_cast<int>(rng.below(6)); ++i) {
+                size += dx;
+                if (dyadic) {
+                    pts.push_back({size, std::max(0.0, pts.back().misses -
+                                                           dy)});
+                } else {
+                    hits = std::min(sampled, hits + dh);
+                    pts.push_back({size, static_cast<double>(sampled - hits) /
+                                             static_cast<double>(sampled)});
+                }
+            }
+        }
+        break;
+    }
+    }
+    return MissCurve(std::move(pts));
+}
+
+bool
+samePoints(const MissCurve& a, const MissCurve& b)
+{
+    if (a.numPoints() != b.numPoints())
+        return false;
+    for (size_t i = 0; i < a.numPoints(); ++i)
+        if (a.point(i).size != b.point(i).size ||
+            a.point(i).misses != b.point(i).misses)
+            return false;
+    return true;
+}
+
+/** Largest |a - b| between two curves, each evaluated at the other's
+ *  vertices as well as its own. */
+double
+maxGap(const MissCurve& a, const MissCurve& b)
+{
+    double gap = 0;
+    for (const CurvePoint& v : a.points())
+        gap = std::max(gap, std::abs(v.misses - b.at(v.size)));
+    for (const CurvePoint& v : b.points())
+        gap = std::max(gap, std::abs(v.misses - a.at(v.size)));
+    return gap;
+}
+
+// The control step hands the allocator the weighted hull of each
+// curve; before, it took the hull of the weighted curve. A positive
+// weight keeps the vertex set in exact arithmetic, but in doubles the
+// orientation test on a nearly collinear triple can flip. Pinned
+// below: on this corpus that happens only on the UMON-style runs of
+// equal per-way hits, where the two hulls keep or drop a vertex that
+// lies within an ulp of its neighbours' chord (they agree to 4e-16 of
+// the weight everywhere), and no HillClimb, Lookahead or Peekahead
+// allocation moves.
+TEST(ControlStep, ScaledHullMatchesHullOfScaled)
+{
+    Rng rng(2015);
+    const char* allocators[] = {"HillClimb", "Lookahead", "Peekahead"};
+    uint32_t vertex_diffs = 0, alloc_diffs = 0, cases = 0;
+    for (int trial = 0; trial < 600; ++trial) {
+        const uint32_t n = 1 + static_cast<uint32_t>(rng.below(4));
+        std::vector<MissCurve> hull_of_scaled, scaled_hull;
+        for (uint32_t p = 0; p < n; ++p) {
+            const MissCurve raw =
+                monitorShapedCurve(rng, static_cast<uint32_t>(trial) + p);
+            // Weights span the interval volumes the step sees: 1 (a
+            // silent partition) through 2^20 + 1.
+            const uint64_t weight =
+                trial % 7 == 0   ? 1
+                : trial % 7 == 1 ? (uint64_t{1} << 20) + 1
+                                 : 1 + rng.below((uint64_t{1} << 20) + 1);
+            const double w = static_cast<double>(weight);
+            hull_of_scaled.push_back(
+                ConvexHull(raw.scaled(1.0, w)).hull());
+            scaled_hull.push_back(ConvexHull(raw).hull().scaled(1.0, w));
+            ++cases;
+            if (samePoints(hull_of_scaled.back(), scaled_hull.back()))
+                continue;
+            ++vertex_diffs;
+            EXPECT_EQ((static_cast<uint32_t>(trial) + p) % 6, 5u)
+                << "trial " << trial << " part " << p;
+            EXPECT_LE(maxGap(hull_of_scaled.back(), scaled_hull.back()),
+                      4e-16 * w)
+                << "trial " << trial << " part " << p;
+        }
+        uint64_t top = 0;
+        for (const MissCurve& c : scaled_hull)
+            top = std::max<uint64_t>(
+                top, static_cast<uint64_t>(c.maxSize()));
+        // At most ~256 granules, so Lookahead's quadratic scan stays
+        // cheap.
+        const uint64_t total = 1 + rng.below(top * n + 1);
+        const uint64_t granule =
+            std::max<uint64_t>(1, total / (32 + rng.below(224)));
+        for (const char* name : allocators) {
+            auto a = makeAllocator(name);
+            auto b = makeAllocator(name);
+            if (a->allocate(hull_of_scaled, total, granule) !=
+                b->allocate(scaled_hull, total, granule))
+                ++alloc_diffs;
+        }
+    }
+    EXPECT_EQ(cases, 1509u);
+    EXPECT_EQ(vertex_diffs, 54u);
+    EXPECT_EQ(alloc_diffs, 0u);
 }
 
 TEST(ControlStep, UnmanagedHaircutShrinksTheAllocatedTotal)

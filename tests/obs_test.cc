@@ -486,6 +486,45 @@ TEST(CacheObsTest, StalenessAndApplyAgeTrackEpochDeferral)
               1000.0);
 }
 
+TEST(CacheObsTest, HullVerticesGaugeCountsTheActiveHulls)
+{
+    // talus_control_hull_vertices is the total vertex count of the
+    // hulls one reconfiguration computed, whether or not the
+    // allocator ran on them: the same hulls configure() sizes the
+    // shadow partitions from.
+    for (const bool on_hulls : {true, false}) {
+        SCOPED_TRACE(on_hulls);
+        MetricRegistry reg;
+        TalusCache::Config cfg = cacheConfig(&reg);
+        cfg.reconfigInterval = 0; // Control is explicit here.
+        cfg.allocateOnHulls = on_hulls;
+        TalusCache cache(cfg);
+        const std::vector<Addr> addrs = zipfTrace(8'192, 17);
+        cache.accessBatch(Span<const Addr>(addrs.data(), 4'096), 0);
+        cache.accessBatch(Span<const Addr>(addrs.data() + 4'096, 4'096),
+                          1);
+
+        // The monitors' curves as the reconfiguration snapshots them.
+        const std::vector<MissCurve> raw = cache.curves();
+        cache.reconfigure();
+
+        uint64_t raw_points = 0, hull_vertices = 0, active_points = 0;
+        for (uint32_t p = 0; p < cfg.numParts; ++p) {
+            raw_points += raw[p].numPoints();
+            hull_vertices += ConvexHull(raw[p]).hull().numPoints();
+            active_points +=
+                cache.controlPlane().active().curves[p].numPoints();
+        }
+        // The check bites only if the hulls dropped points.
+        ASSERT_LT(hull_vertices, raw_points);
+        const MetricsSnapshot snap = reg.snapshot();
+        const MetricValue* m = snap.find("talus_control_hull_vertices");
+        ASSERT_NE(m, nullptr);
+        EXPECT_EQ(m->gauge, static_cast<double>(active_points));
+        EXPECT_EQ(m->gauge, static_cast<double>(hull_vertices));
+    }
+}
+
 TEST(CacheObsTest, BaselineModePublishesPlainPartitionState)
 {
     // talus=false runs the controller over one physical partition per
