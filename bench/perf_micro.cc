@@ -539,7 +539,7 @@ class ReplayStream final : public AccessStream
 /**
  * The serving harness's closed-loop driver over the sharded engine:
  * back-to-back batches with per-batch latency sampling — the
- * end-to-end serving hot path (scatter, ring dispatch, gather,
+ * end-to-end serving hot path (scatter, worker dispatch, gather,
  * percentile bookkeeping). The threads:0 row is the deterministic
  * tracked one; the threads:4 row of the same sweep is what the
  * no-negative-scaling invariant in compare_bench.py checks against

@@ -31,7 +31,7 @@
  *
  * With --metrics=PATH (or TALUS_METRICS), the engine and harness
  * publish into the global metric registry — per-shard hit/miss
- * counters, worker ring depths, control-plane staleness, serving
+ * counters, worker park/wake counts, control-plane staleness, serving
  * latency histograms — and a snapshot is dumped to PATH at exit.
  */
 

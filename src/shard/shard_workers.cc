@@ -45,36 +45,28 @@ PinnedWorkers::PinnedWorkers(uint32_t threads, uint32_t num_shards,
     : exec_(std::move(exec))
 {
     talus_assert(exec_ != nullptr, "PinnedWorkers needs an executor");
-    if (threads == 0)
+    const uint32_t n = std::min(threads, num_shards);
+    if (n == 0)
         return;
-    // A ring holds at most one dispatch's worth of its owner's shard
-    // fan-in (wait() drains fully before the next dispatchAsync may
-    // submit); doubled as cheap headroom so the overflow assert below
-    // stays a programming-error trap rather than a tight capacity
-    // proof.
-    const uint32_t fan_in = (num_shards + threads - 1) / threads;
-    workers_.reserve(threads);
-    for (uint32_t t = 0; t < threads; ++t)
-        workers_.push_back(
-            std::make_unique<Worker>(2 * (fan_in > 0 ? fan_in : 1)));
-    touched_.assign(threads, 0);
+    workers_.reserve(n);
+    for (uint32_t t = 0; t < n; ++t)
+        workers_.push_back(std::make_unique<Worker>());
+    fed_.assign(n, 0);
     // Resolve metric handles before any worker thread exists, so the
     // threads only ever see fully initialized (or all-null) pointers.
     if (metrics != nullptr) {
-        for (uint32_t t = 0; t < threads; ++t) {
+        for (uint32_t t = 0; t < n; ++t) {
             const std::string labels =
                 joinLabels(metricsScope, labelPair("worker", t));
             workers_[t]->parks =
                 &metrics->counter("talus_worker_parks_total", labels);
             workers_[t]->wakes =
                 &metrics->counter("talus_worker_wakes_total", labels);
-            workers_[t]->ringDepthHwm =
-                &metrics->gauge("talus_worker_ring_depth_hwm", labels);
         }
     }
-    threads_.reserve(threads);
-    for (uint32_t t = 0; t < threads; ++t)
-        threads_.emplace_back([this, t] { workerLoop(*workers_[t]); });
+    threads_.reserve(n);
+    for (uint32_t t = 0; t < n; ++t)
+        threads_.emplace_back([this, t] { workerLoop(t); });
 }
 
 PinnedWorkers::~PinnedWorkers()
@@ -108,37 +100,26 @@ PinnedWorkers::dispatchAsync(const ShardTask* tasks, uint32_t count)
                  "before the next dispatchAsync(), and dispatch from "
                  "one thread only");
 
+    slot_ = tasks;
     pending_.store(count, std::memory_order_relaxed);
-    std::fill(touched_.begin(), touched_.end(), uint8_t{0});
-    for (uint32_t i = 0; i < count; ++i) {
-        const uint32_t w = ownerOf(tasks[i].shard);
-        // Cannot fail: rings are sized for the per-worker shard
-        // fan-in and dispatch() drains fully before returning.
-        const bool pushed = workers_[w]->ring.tryPush(tasks[i]);
-        talus_assert(pushed, "SPSC ring overflow on worker ", w,
-                     " — overlapping dispatch()?");
-        touched_[w] = 1;
-        if (workers_[w]->ringDepthHwm != nullptr) {
-            // Racy-snapshot depth right after our own push: an upper
-            // bound on queueing the consumer hasn't drained yet. The
-            // producer alone tracks the high-water mark.
-            const uint64_t depth = workers_[w]->ring.size();
-            if (depth > workers_[w]->hwm) {
-                workers_[w]->hwm = depth;
-                workers_[w]->ringDepthHwm->set(
-                    static_cast<double>(depth));
-            }
-        }
-    }
+    std::fill(fed_.begin(), fed_.end(), 0u);
+    for (uint32_t i = 0; i < count; ++i)
+        ++fed_[ownerOf(tasks[i].shard)];
+    // Publish: the release store of a worker's share makes the slot,
+    // pending_, and the sub-batches the tasks point at visible to it.
+    for (uint32_t w = 0; w < workers_.size(); ++w)
+        if (fed_[w] != 0)
+            workers_[w]->assigned.store(fed_[w],
+                                        std::memory_order_release);
 
     // Wake only workers that both got work and actually parked. The
     // seq_cst fence pairs with the one in workerLoop(): either we see
     // parked == true here (and notify under the mutex), or the worker
-    // sees our pushes in its post-flag recheck — a push can never
-    // slip between its last look at the ring and its sleep.
+    // sees its share in its post-flag recheck — a dispatch can never
+    // slip between its last look and its sleep.
     std::atomic_thread_fence(std::memory_order_seq_cst);
     for (uint32_t w = 0; w < workers_.size(); ++w) {
-        if (touched_[w] &&
+        if (fed_[w] != 0 &&
             workers_[w]->parked.load(std::memory_order_relaxed)) {
             {
                 std::lock_guard<std::mutex> lock(workers_[w]->mu);
@@ -182,21 +163,34 @@ PinnedWorkers::wait()
 }
 
 void
-PinnedWorkers::workerLoop(Worker& w)
+PinnedWorkers::workerLoop(uint32_t self)
 {
-    ShardTask task;
+    Worker& w = *workers_[self];
     int idle = 0;
     while (true) {
-        if (w.ring.tryPop(task)) {
+        uint32_t mine = w.assigned.load(std::memory_order_acquire);
+        if (mine != 0) {
+            // Cleared before any decrement: the caller stores the next
+            // share only after pending_ reaches zero.
+            w.assigned.store(0, std::memory_order_relaxed);
             idle = 0;
-            exec_(task);
-            if (pending_.fetch_sub(1, std::memory_order_release) == 1) {
-                // Last task of the dispatch: wake the caller if it
-                // parked (fence pairs with the one in wait()).
-                std::atomic_thread_fence(std::memory_order_seq_cst);
-                if (callerParked_.load(std::memory_order_relaxed)) {
-                    std::lock_guard<std::mutex> lock(doneMu_);
-                    doneCv_.notify_one();
+            // Run our tasks in array order, and read the slot no
+            // further than our last one: once its decrement lands the
+            // caller may reuse the array.
+            for (const ShardTask* t = slot_; mine != 0; ++t) {
+                if (ownerOf(t->shard) != self)
+                    continue;
+                exec_(*t);
+                --mine;
+                if (pending_.fetch_sub(1, std::memory_order_release) ==
+                    1) {
+                    // Last task of the dispatch: wake the caller if it
+                    // parked (fence pairs with the one in wait()).
+                    std::atomic_thread_fence(std::memory_order_seq_cst);
+                    if (callerParked_.load(std::memory_order_relaxed)) {
+                        std::lock_guard<std::mutex> lock(doneMu_);
+                        doneCv_.notify_one();
+                    }
                 }
             }
             continue;
@@ -209,20 +203,21 @@ PinnedWorkers::workerLoop(Worker& w)
         } else if (idle < kSpinPolls + kYieldPolls) {
             std::this_thread::yield();
         } else {
-            // Park. Flag first, fence, then one last ring check: the
-            // producer's fence-then-flag-read (dispatch()) guarantees
-            // that if it skipped the notify, our recheck sees its
-            // push.
+            // Park. Flag first, fence, then one last look at our
+            // share: the caller's fence-then-flag-read (dispatchAsync())
+            // guarantees that if it skipped the notify, our recheck
+            // sees its store.
             w.parked.store(true, std::memory_order_relaxed);
             std::atomic_thread_fence(std::memory_order_seq_cst);
-            if (w.ring.empty() &&
+            if (w.assigned.load(std::memory_order_relaxed) == 0 &&
                 !stop_.load(std::memory_order_acquire)) {
                 if (w.parks != nullptr)
                     w.parks->inc();
                 std::unique_lock<std::mutex> lock(w.mu);
                 w.cv.wait(lock, [this, &w] {
                     return stop_.load(std::memory_order_acquire) ||
-                           !w.ring.empty();
+                           w.assigned.load(std::memory_order_relaxed) !=
+                               0;
                 });
             }
             w.parked.store(false, std::memory_order_relaxed);

@@ -1,8 +1,8 @@
 /**
  * @file
- * PinnedWorkers: persistent shard-pinned worker threads fed through
- * bounded SPSC rings — the serving engine's one dispatcher, for data
- * and control steps alike.
+ * PinnedWorkers: persistent shard-pinned worker threads fed from one
+ * published dispatch slot — the serving engine's one dispatcher, for
+ * data and control steps alike.
  *
  * A pool that re-forms a thread team per batch (lock a mutex, bump a
  * generation, wake every worker, wait for stragglers) pays a
@@ -13,27 +13,30 @@
  * than re-forming a thread team per request):
  *
  *  - Each worker thread permanently owns a fixed subset of shards
- *    (shard s belongs to worker s % threads). Only that thread ever
+ *    (shard s belongs to worker s % workers). Only that thread ever
  *    touches those shards' caches — sub-batches and control steps
  *    alike — so per-shard state needs no locking, and outputs can go
  *    to per-shard slots with no cross-worker write contention.
- *  - Work arrives as plain ShardTask descriptors through a per-worker
- *    SPSC ring (shard/spsc_ring.h): dispatching a batch is one ring
- *    push per non-empty shard plus one atomic pending-counter, no
- *    mutex on the submit path.
+ *  - A dispatch is published once: the caller stores the task array
+ *    in one slot, sets an atomic pending-task counter, and tells each
+ *    worker that owns a task how many of the slot's tasks are its own
+ *    (one release store per fed worker). The worker runs exactly
+ *    those, in array order, and stops reading the slot after its
+ *    last one. No mutex on the submit path, and no queue: wait()
+ *    drains a dispatch before the next may be published.
  *  - Idle workers poll: spin briefly, then yield, then park on a
- *    condition variable. The producer touches a worker's parking
- *    mutex only when that worker has actually parked — in the steady
- *    state (batches arriving back-to-back) workers are still polling
- *    when the next descriptor lands and dispatch is wakeup-free.
+ *    condition variable. The caller touches a worker's parking mutex
+ *    only when that worker has actually parked — in the steady state
+ *    (batches arriving back-to-back) workers are still polling when
+ *    the next dispatch lands and dispatch is wakeup-free.
  *  - The caller's completion wait spins only a few dozen polls, then
  *    parks until the worker that finishes the last task wakes it, so
  *    a waiting caller never holds a core a worker needs.
  *
  * Determinism: pinning fixes which thread runs each shard, and each
- * ring preserves FIFO order, so per-shard execution order is exactly
- * submission order. Shards share no state, so results are bit-exact
- * with inline execution (threads == 0) for any thread count.
+ * worker runs its tasks in array order, so per-shard execution order
+ * is exactly submission order. Shards share no state, so results are
+ * bit-exact with inline execution (threads == 0) for any thread count.
  */
 
 #ifndef TALUS_SHARD_SHARD_WORKERS_H
@@ -49,13 +52,11 @@
 #include <thread>
 #include <vector>
 
-#include "shard/spsc_ring.h"
 #include "util/types.h"
 
 namespace talus {
 
 class Counter;
-class Gauge;
 class MetricRegistry;
 
 /** What a ShardTask asks its shard to do. */
@@ -80,7 +81,7 @@ struct ShardTask
     PartId part = 0;            //!< Logical partition of the batch.
 };
 
-/** Persistent shard-pinned workers fed by per-worker SPSC rings. */
+/** Persistent shard-pinned workers fed from one dispatch slot. */
 class PinnedWorkers
 {
   public:
@@ -89,20 +90,20 @@ class PinnedWorkers
     using Executor = std::function<void(const ShardTask&)>;
 
     /**
-     * Starts @p threads persistent workers, each owning the shards
-     * s in [0, num_shards) with s % threads == its index. threads == 0
-     * starts none: dispatch() runs every task inline, in submission
-     * order, on the calling thread — the deterministic-debugging mode
-     * the threaded modes must match bit-for-bit.
+     * Starts min(@p threads, @p num_shards) persistent workers — a
+     * worker that owned no shard could never run a task — each owning
+     * the shards s in [0, num_shards) with s % workers == its index.
+     * threads == 0 starts none: dispatch() runs every task inline, in
+     * submission order, on the calling thread — the deterministic-
+     * debugging mode the threaded modes must match bit-for-bit.
      *
      * @p exec is fixed for the lifetime of the pool (one indirect
      * call per task; never rebuilt per batch).
      *
-     * @p metrics (optional) publishes per-worker dispatch health —
-     * ring depth high-water marks, park and wake counts, labeled
-     * `worker="t"` under @p metricsScope — into the registry. Null
-     * (the default) compiles the hooks down to never-taken null
-     * checks off the ring hot path.
+     * @p metrics (optional) publishes per-worker park and wake counts,
+     * labeled `worker="t"` under @p metricsScope, into the registry.
+     * Null (the default) leaves never-taken null checks on the park
+     * and wake paths only.
      */
     PinnedWorkers(uint32_t threads, uint32_t num_shards, Executor exec,
                   MetricRegistry* metrics = nullptr,
@@ -115,12 +116,11 @@ class PinnedWorkers
     PinnedWorkers& operator=(const PinnedWorkers&) = delete;
 
     /**
-     * Runs tasks[0..count) — each on its shard's owning worker, FIFO
-     * per shard — and returns once every task finished (with release/
-     * acquire publication, so the caller sees all worker writes).
-     * Tasks for distinct shards owned by the same worker run in
-     * submission order. Not reentrant: one dispatch() at a time, from
-     * one thread (enforced by a talus_assert).
+     * Runs tasks[0..count) — each on its shard's owning worker, which
+     * runs its tasks in submission order — and returns once every task
+     * finished (with release/acquire publication, so the caller sees
+     * all worker writes). Not reentrant: one dispatch() at a time,
+     * from one thread (enforced by a talus_assert).
      */
     void dispatch(const ShardTask* tasks, uint32_t count)
     {
@@ -129,8 +129,8 @@ class PinnedWorkers
     }
 
     /**
-     * Submission half of dispatch(): pushes every task to its owning
-     * worker's ring, wakes parked workers, and returns WITHOUT
+     * Submission half of dispatch(): publishes the tasks to their
+     * owning workers, wakes parked owners, and returns WITHOUT
      * waiting for completion — the producer can overlap its own work
      * (scattering the next block) with the drain. With threads == 0
      * the tasks run inline here, so async and sync modes stay
@@ -151,7 +151,8 @@ class PinnedWorkers
      */
     void wait();
 
-    /** Worker threads (0 = inline execution). */
+    /** Worker threads started: min(threads, num_shards) (0 = inline
+     *  execution). */
     uint32_t threadCount() const
     {
         return static_cast<uint32_t>(threads_.size());
@@ -164,36 +165,34 @@ class PinnedWorkers
     }
 
   private:
-    /** Per-worker state: its task ring and its parking gear. */
-    struct Worker
+    /** Per-worker state: its share of a dispatch, its parking gear.
+     *  Line-aligned so one worker's polling never shares a line with
+     *  a neighbour's. */
+    struct alignas(64) Worker
     {
-        explicit Worker(uint32_t ring_capacity) : ring(ring_capacity) {}
-
-        SpscRing<ShardTask> ring;
-        // Metric handles (null when metrics are off). parks is bumped
-        // by the worker thread, wakes by the producer, and the ring
-        // depth high-water mark by the producer alone (hwm is plain:
-        // producer-only state).
+        /** Tasks of the published dispatch this worker owns; set by
+         *  the caller, cleared by the worker when it takes them. */
+        std::atomic<uint32_t> assigned{0};
+        /** True while the worker sleeps on cv (set before its final
+         *  recheck of assigned; see the fences in workerLoop() and
+         *  dispatchAsync()). */
+        std::atomic<bool> parked{false};
+        // Metric handles (null when metrics are off): parks is bumped
+        // by the worker thread, wakes by the caller.
         Counter* parks = nullptr;
         Counter* wakes = nullptr;
-        Gauge* ringDepthHwm = nullptr;
-        uint64_t hwm = 0;
-        /** True while the worker sleeps on cv (set by the worker
-         *  before its final empty-ring recheck; the seq_cst fences in
-         *  workerLoop()/dispatch() make flag and ring visible in a
-         *  consistent order, so a push is never silently missed). */
-        std::atomic<bool> parked{false};
         std::mutex mu;
         std::condition_variable cv;
     };
 
-    void workerLoop(Worker& w);
+    void workerLoop(uint32_t self);
 
     Executor exec_;
     std::vector<std::unique_ptr<Worker>> workers_;
     std::vector<std::thread> threads_;
-    std::vector<uint8_t> touched_; //!< Dispatch scratch: workers fed
-                                   //!< this batch (caller-owned).
+    const ShardTask* slot_ = nullptr; //!< The published dispatch.
+    std::vector<uint32_t> fed_; //!< Dispatch scratch: tasks per worker
+                                //!< this dispatch (caller-owned).
     std::atomic<uint64_t> pending_{0}; //!< Tasks in flight.
     std::atomic<bool> stop_{false};
     std::atomic<bool> dispatching_{false}; //!< Reentrancy trap.

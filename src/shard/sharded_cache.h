@@ -17,10 +17,11 @@
  *
  * With Config::threads > 0 every per-shard step runs on persistent
  * shard-pinned workers (shard/shard_workers.h), the engine's one
- * dispatcher: each worker owns a fixed subset of shards and is fed
- * ShardTask descriptors through a bounded SPSC ring, so a batch costs
- * one ring push per non-empty shard — no mutex, and no wakeup when
- * batches arrive back-to-back. Explicit control steps
+ * dispatcher: each worker owns a fixed subset of shards, and a block
+ * is published to them once as an array of ShardTask descriptors
+ * (one per non-empty shard), each worker running its own tasks in
+ * array order — no mutex, and no wakeup when batches arrive
+ * back-to-back. Explicit control steps
  * (reconfigureAll / reconfigureAllAtEpoch) are ShardTasks too, so
  * each shard's control step runs on the thread that owns the shard,
  * as the automatic steps inside TalusCache::accessBatch already do.
@@ -66,8 +67,8 @@ class ShardedTalusCache
 
     /**
      * Addresses per dispatch block (see accessBatch()): large enough
-     * that per-block dispatch costs amortize (one ring push per
-     * non-empty shard per block), small enough that two in-flight
+     * that per-block dispatch costs amortize (one published dispatch
+     * per block), small enough that two in-flight
      * blocks' scatter buffers stay cache-resident. A batch no longer
      * than one block is one scatter and one dispatch.
      */
@@ -84,7 +85,8 @@ class ShardedTalusCache
          */
         TalusCache::Config shard;
         uint32_t numShards = 4; //!< Independent shards (>= 1).
-        uint32_t threads = 0;   //!< Worker threads; 0 = inline
+        uint32_t threads = 0;   //!< Worker threads, capped at
+                                //!< numShards; 0 = inline
                                 //!< (deterministic debugging).
         std::optional<uint64_t> routerSeed; //!< Address->shard H3
                                             //!< seed; unset derives
@@ -185,7 +187,9 @@ class ShardedTalusCache
      *  space; every shard has the same partitions). */
     uint32_t numParts() const { return cfg_.shard.numParts; }
 
-    /** Worker threads driving batches (0 = inline). */
+    /** Worker threads driving batches: min(Config::threads,
+     *  numShards), since a worker owning no shard would only idle
+     *  (0 = inline). */
     uint32_t threads() const { return workers_.threadCount(); }
 
     /** Total capacity in lines, summed over shards. */

@@ -1,16 +1,20 @@
 /**
  * @file
  * PinnedWorkers: every task runs exactly once on its shard's owning
- * worker, FIFO per shard, and dispatch()/wait() return only after the
- * last task finished with its writes visible — including when the
- * caller parked (tasks slower than its short spin) and when workers
- * outnumber shards. The TSan CI job race-checks the same tests.
+ * worker, in submission order per worker, and dispatch()/wait()
+ * return only after the last task finished with its writes visible —
+ * including when the caller parked (tasks slower than its short spin)
+ * and when workers outnumber shards. The TSan CI job race-checks the
+ * same tests.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <numeric>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -73,6 +77,59 @@ TEST(PinnedWorkers, SlowTasksWakeAParkedCaller)
 TEST(PinnedWorkers, MoreWorkersThanShards)
 {
     checkDispatches(6, 4, 500, std::chrono::microseconds(0));
+}
+
+TEST(PinnedWorkers, StartsNoWorkerThatOwnsNoShard)
+{
+    const auto noop = [](const ShardTask&) {};
+    EXPECT_EQ(PinnedWorkers(6, 4, noop).threadCount(), 4u);
+    EXPECT_EQ(PinnedWorkers(3, 8, noop).threadCount(), 3u);
+    EXPECT_EQ(PinnedWorkers(0, 4, noop).threadCount(), 0u);
+}
+
+TEST(PinnedWorkers, EachWorkerRunsItsTasksInSubmissionOrder)
+{
+    // 10 shards on 3 workers (4/3/3 shards each), every shard fed in a
+    // shuffled order and some fed twice in one dispatch: each worker
+    // must run exactly its own tasks, once each, in array order.
+    constexpr uint32_t kThreads = 3;
+    constexpr uint32_t kShards = 10;
+    struct alignas(64) Log
+    {
+        std::vector<uint64_t> ids;
+        std::thread::id thread;
+    };
+    std::vector<Log> logs(kThreads);
+    PinnedWorkers workers(kThreads, kShards, [&](const ShardTask& t) {
+        Log& log = logs[t.shard % kThreads];
+        if (log.thread == std::thread::id())
+            log.thread = std::this_thread::get_id();
+        EXPECT_EQ(log.thread, std::this_thread::get_id());
+        log.ids.push_back(t.count);
+    });
+    std::mt19937_64 rng(2801);
+    std::vector<ShardTask> tasks;
+    uint64_t next_id = 0;
+    for (int round = 0; round < 300; ++round) {
+        std::vector<uint32_t> order(kShards);
+        std::iota(order.begin(), order.end(), 0u);
+        for (uint32_t twice = 0; twice < 3; ++twice)
+            order.push_back(static_cast<uint32_t>(rng() % kShards));
+        std::shuffle(order.begin(), order.end(), rng);
+        tasks.clear();
+        std::vector<std::vector<uint64_t>> expected(kThreads);
+        for (uint32_t shard : order) {
+            tasks.push_back(
+                ShardTask{shard, ShardOp::Access, nullptr, next_id, 0});
+            expected[workers.ownerOf(shard)].push_back(next_id++);
+        }
+        for (Log& log : logs)
+            log.ids.clear();
+        workers.dispatch(tasks.data(), static_cast<uint32_t>(tasks.size()));
+        for (uint32_t w = 0; w < kThreads; ++w)
+            ASSERT_EQ(logs[w].ids, expected[w])
+                << "worker " << w << ", round " << round;
+    }
 }
 
 TEST(PinnedWorkers, InlineModeRunsOnCallerThread)
