@@ -76,19 +76,6 @@ class ReplPolicy
     /** Interval hook for policies with periodic recomputation (PDP). */
     virtual void nextInterval() {}
 
-    /**
-     * Per-line rank keys, when victim() is exactly "argmin of a
-     * per-line key over the candidates, first minimum wins" (LRU:
-     * per-set recency ranks). Keys are only meaningful between lines
-     * of one set. Schemes use this to fuse candidate collection and
-     * victim selection into one pass — bit-exact with building the
-     * candidate array in way order and calling victim(), because both
-     * take the first strict minimum in the same order. Policies with
-     * stateful victim selection (RRIP aging, PDP bypass) return
-     * nullptr and keep the two-pass path.
-     */
-    virtual const uint8_t* rankKeys() const { return nullptr; }
-
     /** Human-readable policy name, for bench output. */
     virtual const char* name() const = 0;
 };

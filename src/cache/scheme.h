@@ -56,7 +56,7 @@ class PartitionScheme
 
     /**
      * Maps an address accessed by @p part to a set index. The default
-     * (whole-cache hashing) is overridden by set partitioning.
+     * (whole-cache bit selection) is overridden by set partitioning.
      */
     virtual uint32_t setIndex(Addr addr, PartId part) const;
 

@@ -1,11 +1,10 @@
 #include "cache/set_assoc_cache.h"
 
-#include "util/bits.h"
 #include "util/log.h"
 
 namespace talus {
 
-// Default scheme set-index: whole-cache hashing, same as an
+// Default scheme set-index: whole-cache bit selection, same as an
 // unpartitioned cache. Defined here (not in scheme.h) so the interface
 // header stays free of SetAssocCache's definition.
 uint32_t
@@ -20,7 +19,6 @@ SetAssocCache::SetAssocCache(const Config& config,
                              std::unique_ptr<ReplPolicy> policy,
                              std::unique_ptr<PartitionScheme> scheme)
     : numSets_(config.numSets), numWays_(config.numWays),
-      hashSetIndex_(config.hashSetIndex), hashSeed_(config.hashSeed),
       policy_(std::move(policy)), scheme_(std::move(scheme))
 {
     talus_assert(numSets_ > 0, "cache needs at least one set");
@@ -36,15 +34,6 @@ SetAssocCache::SetAssocCache(const Config& config,
     policy_->init(numSets_, numWays_);
     if (scheme_)
         scheme_->init(this);
-}
-
-uint32_t
-SetAssocCache::defaultSetIndex(Addr addr) const
-{
-    uint64_t h = hashSetIndex_ ? mix64(addr ^ hashSeed_) : addr;
-    if ((numSets_ & (numSets_ - 1)) == 0)
-        return static_cast<uint32_t>(h & (numSets_ - 1));
-    return static_cast<uint32_t>(h % numSets_);
 }
 
 uint32_t

@@ -11,9 +11,11 @@
  *
  * Geometry notes:
  *  - Lines are identified by flat index `set * numWays + way`.
- *  - Set indices are computed by hashing the line address ("hashed
- *    cache", which the paper's Assumption 3 relies on); tests can
- *    disable hashing for determinism.
+ *  - Set indices bit-select the line address (`addr mod numSets`, a
+ *    mask when numSets is a power of two), as real LLC indexing does:
+ *    sequential scans spread perfectly evenly across sets, which keeps
+ *    cliffs as sharp as the paper's zsim curves. Schemes may override
+ *    the index (SetPartition hashes within a partition's own sets).
  */
 
 #ifndef TALUS_CACHE_SET_ASSOC_CACHE_H
@@ -39,15 +41,6 @@ class SetAssocCache
     {
         uint32_t numSets = 1024;     //!< Number of sets (any positive value).
         uint32_t numWays = 16;       //!< Associativity; at most kMaxWays.
-        /**
-         * Hash addresses to sets instead of bit selection. Bit
-         * selection (the default, as in real LLC indexing) maps
-         * sequential scans perfectly evenly across sets, which keeps
-         * cliffs as sharp as the paper's zsim curves; hashing spreads
-         * pathological strides but Poisson-smears scans.
-         */
-        bool hashSetIndex = false;
-        uint64_t hashSeed = 0xC0FFEE; //!< Seed for the set-index hash.
     };
 
     /** Maximum supported associativity. */
@@ -140,20 +133,27 @@ class SetAssocCache
     };
     LineArrays lineArrays() { return {tags_.data(), parts_.data()}; }
 
-    /** True when set indices hash the address (vs bit selection). */
-    bool hashSetIndex() const { return hashSetIndex_; }
-
-    /** Seed of the set-index hash. */
-    uint64_t hashSeed() const { return hashSeed_; }
-
     /** Invalidates one line, notifying the scheme. */
     void invalidateLine(uint32_t line);
 
     /** Invalidates the whole cache and resets policy state. */
     void invalidateAll();
 
-    /** Default hashed set index over the full cache. */
-    uint32_t defaultSetIndex(Addr addr) const;
+    /** Default bit-selected set index over the full cache. */
+    uint32_t defaultSetIndex(Addr addr) const
+    {
+        return bitSelectSet(addr, numSets_);
+    }
+
+    /** Bit-selected set of @p addr among @p num_sets sets: the low
+     *  address bits when @p num_sets is a power of two, else the
+     *  address modulo @p num_sets. */
+    static uint32_t bitSelectSet(Addr addr, uint32_t num_sets)
+    {
+        if ((num_sets & (num_sets - 1)) == 0)
+            return static_cast<uint32_t>(addr & (num_sets - 1));
+        return static_cast<uint32_t>(addr % num_sets);
+    }
 
     /** Counts valid lines owned by @p part (O(lines); for tests). */
     uint64_t countLines(PartId part) const;
@@ -177,8 +177,6 @@ class SetAssocCache
 
     uint32_t numSets_;
     uint32_t numWays_;
-    bool hashSetIndex_;
-    uint64_t hashSeed_;
 
     // Cache-line-aligned so every per-set row starts on a line
     // boundary: the fused kernel's 128-byte tag/owner rows then touch

@@ -35,7 +35,6 @@ PolicyMonitorArray::PolicyMonitorArray(const Config& config)
         cc.numWays = ways;
         cc.numSets = static_cast<uint32_t>(
             std::max<uint64_t>(1, eff_lines / ways));
-        cc.hashSeed = cfg_.seed ^ (salt * 0x9E3779B97F4A7C15ull);
         mon.cache = std::make_unique<SetAssocCache>(
             cc, makePolicy(cfg_.policyName, cfg_.seed + salt));
         monitors_.push_back(std::move(mon));

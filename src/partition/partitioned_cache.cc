@@ -56,10 +56,7 @@ SchemePartitionedCache::accessBatchRouted(const Addr* addrs,
 {
     if (fusedLru_ != nullptr)
         return fusedBlock(addrs, parts, n, 0);
-    uint64_t hits = 0;
-    for (uint64_t i = 0; i < n; ++i)
-        hits += cache_.access(addrs[i], parts[i]);
-    return hits;
+    return PartitionedCacheBase::accessBatchRouted(addrs, parts, n);
 }
 
 uint64_t
@@ -68,10 +65,7 @@ SchemePartitionedCache::accessBatchUniform(const Addr* addrs, uint64_t n,
 {
     if (fusedLru_ != nullptr)
         return fusedBlock(addrs, nullptr, n, part);
-    uint64_t hits = 0;
-    for (uint64_t i = 0; i < n; ++i)
-        hits += cache_.access(addrs[i], part);
-    return hits;
+    return PartitionedCacheBase::accessBatchUniform(addrs, n, part);
 }
 
 void
@@ -106,14 +100,12 @@ SchemePartitionedCache::rebuildMirrors()
     ctx_.fpt = fpTags_.data();
     ctx_.accRaw = st.accessesRaw();
     ctx_.hitRaw = st.hitsRaw();
-    ctx_.hashSeed = cache_.hashSeed();
     ctx_.ways = ways;
     ctx_.chunks = lru_rows::chunksFor(ways);
     ctx_.sets = sets;
     ctx_.setMask = sets - 1;
     ctx_.nparts = nparts;
     ctx_.setsPow2 = (sets & (sets - 1)) == 0;
-    ctx_.hashed = cache_.hashSetIndex();
     mirrorEpoch_ = cache_.mutationEpoch();
 }
 
@@ -265,7 +257,6 @@ makePartitionedCache(SchemeKind kind, uint64_t capacity_lines,
     SetAssocCache::Config config;
     config.numWays = num_ways;
     config.numSets = static_cast<uint32_t>(capacity_lines / num_ways);
-    config.hashSeed = seed ^ 0x5E7;
 
     std::unique_ptr<PartitionScheme> scheme;
     switch (kind) {

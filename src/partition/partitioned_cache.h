@@ -27,7 +27,6 @@
 #include "partition/vantage.h"
 #include "policy/lru.h"
 #include "util/aligned.h"
-#include "util/bits.h"
 #include "util/log.h"
 #include "util/types.h"
 
@@ -215,9 +214,8 @@ class SchemePartitionedCache : public PartitionedCacheBase
     __attribute__((always_inline)) static inline uint32_t
     fusedSetOf(const FusedCtx& c, Addr addr)
     {
-        const uint64_t h = c.hashed ? mix64(addr ^ c.hashSeed) : addr;
-        return c.setsPow2 ? static_cast<uint32_t>(h & c.setMask)
-                          : static_cast<uint32_t>(h % c.sets);
+        return c.setsPow2 ? static_cast<uint32_t>(addr & c.setMask)
+                          : static_cast<uint32_t>(addr % c.sets);
     }
 
     /** The serial access: touches the rank and owner rows before the
@@ -465,14 +463,12 @@ class SchemePartitionedCache : public PartitionedCacheBase
         uint32_t* fpt;
         uint64_t* accRaw;
         uint64_t* hitRaw;
-        uint64_t hashSeed;
         uint32_t ways;
         uint32_t chunks; //!< lru_rows::chunksFor(ways).
         uint32_t sets;
         uint32_t setMask;
         uint32_t nparts;
         bool setsPow2;
-        bool hashed;
     };
     FusedCtx ctx_{};
 };

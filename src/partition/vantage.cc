@@ -59,30 +59,6 @@ VantageScheme::selectVictim(uint32_t set, PartId part, ReplPolicy& policy)
     (void)part;
     const uint32_t ways = cache_->numWays();
     const uint32_t base = set * ways;
-
-    // Rank-key fusion: when the policy's victim() is a pure argmin
-    // (LRU), collect-then-call collapses into one pass. Both forms
-    // take the first strict minimum in way order, so the choice is
-    // bit-identical.
-    const uint8_t* keys = policy.rankKeys();
-    if (keys != nullptr) {
-        uint32_t best = kBypassLine;
-        uint32_t best_key = ~0u;
-        for (uint32_t w = 0; w < ways; ++w) {
-            const uint32_t line = base + w;
-            if (!cache_->lineValid(line))
-                return line;
-            if (cache_->linePart(line) == kNoPart &&
-                keys[line] < best_key) {
-                best_key = keys[line];
-                best = line;
-            }
-        }
-        if (best != kBypassLine)
-            return best;
-        return victimOfWorstPart(base, ways, keys, policy);
-    }
-
     uint32_t unmanaged_cands[SetAssocCache::kMaxWays];
     uint32_t n_unmanaged = 0;
     for (uint32_t w = 0; w < ways; ++w) {
@@ -97,12 +73,12 @@ VantageScheme::selectVictim(uint32_t set, PartId part, ReplPolicy& policy)
     if (n_unmanaged > 0)
         return policy.victim(unmanaged_cands, n_unmanaged);
 
-    return victimOfWorstPart(base, ways, nullptr, policy);
+    return victimOfWorstPart(base, ways, policy);
 }
 
 uint32_t
 VantageScheme::victimOfWorstPart(uint32_t base, uint32_t ways,
-                                 const uint8_t* keys, ReplPolicy& policy)
+                                 ReplPolicy& policy)
 {
     // Otherwise demote-and-evict from the most over-target partition
     // present in this set. Walking ways in order, a partition's first
@@ -123,19 +99,6 @@ VantageScheme::victimOfWorstPart(uint32_t base, uint32_t ways,
     }
     talus_assert(worst != kNoPart, "set full of foreign lines");
 
-    if (keys != nullptr) {
-        uint32_t best = kBypassLine;
-        uint32_t best_key = ~0u;
-        for (uint32_t w = 0; w < ways; ++w) {
-            const uint32_t line = base + w;
-            if (cache_->linePart(line) == worst && keys[line] < best_key) {
-                best_key = keys[line];
-                best = line;
-            }
-        }
-        return best;
-    }
-
     uint32_t cands[SetAssocCache::kMaxWays];
     uint32_t n = 0;
     for (uint32_t w = 0; w < ways; ++w) {
@@ -155,34 +118,18 @@ VantageScheme::demoteIfOverTarget(uint32_t inserted_line, PartId part)
     // (excluding the just-inserted line) into the unmanaged region.
     const uint32_t ways = cache_->numWays();
     const uint32_t base = (inserted_line / ways) * ways;
-    uint32_t demoted = kBypassLine;
-    const uint8_t* keys = cache_->policy().rankKeys();
-    if (keys != nullptr) {
-        uint32_t best_key = ~0u;
-        for (uint32_t w = 0; w < ways; ++w) {
-            const uint32_t line = base + w;
-            if (line != inserted_line && cache_->lineValid(line) &&
-                cache_->linePart(line) == part && keys[line] < best_key) {
-                best_key = keys[line];
-                demoted = line;
-            }
+    uint32_t cands[SetAssocCache::kMaxWays];
+    uint32_t n = 0;
+    for (uint32_t w = 0; w < ways; ++w) {
+        const uint32_t line = base + w;
+        if (line != inserted_line && cache_->lineValid(line) &&
+            cache_->linePart(line) == part) {
+            cands[n++] = line;
         }
-        if (demoted == kBypassLine)
-            return; // Cannot demote within this set; converges later.
-    } else {
-        uint32_t cands[SetAssocCache::kMaxWays];
-        uint32_t n = 0;
-        for (uint32_t w = 0; w < ways; ++w) {
-            const uint32_t line = base + w;
-            if (line != inserted_line && cache_->lineValid(line) &&
-                cache_->linePart(line) == part) {
-                cands[n++] = line;
-            }
-        }
-        if (n == 0)
-            return; // Cannot demote within this set; converges later.
-        demoted = cache_->policy().victim(cands, n);
     }
+    if (n == 0)
+        return; // Cannot demote within this set; converges later.
+    const uint32_t demoted = cache_->policy().victim(cands, n);
     cache_->setLinePart(demoted, kNoPart);
     occ_[part]--;
     unmanaged_++;

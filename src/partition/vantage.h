@@ -115,10 +115,10 @@ class VantageScheme : public PartitionScheme
   private:
     void demoteIfOverTarget(uint32_t inserted_line, PartId part);
 
-    /** Victim among the lines of the most over-target partition in
-     *  the set; @p keys is the policy's rank keys or nullptr. */
+    /** Policy victim among the lines of the most over-target
+     *  partition in the set. */
     uint32_t victimOfWorstPart(uint32_t base, uint32_t ways,
-                               const uint8_t* keys, ReplPolicy& policy);
+                               ReplPolicy& policy);
 
     uint32_t numParts_;
     std::vector<uint64_t> targets_;

@@ -4,7 +4,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "util/bits.h"
+#include "cache/set_assoc_cache.h"
 #include "util/log.h"
 
 namespace talus {
@@ -103,7 +103,7 @@ minMissCurve(const std::vector<Addr>& trace,
 
 uint64_t
 minMissesSetAssoc(const std::vector<Addr>& trace, uint32_t num_sets,
-                  uint32_t num_ways, uint64_t hash_seed)
+                  uint32_t num_ways)
 {
     talus_assert(num_sets > 0 && num_ways > 0, "bad MIN geometry");
     const auto next = nextUseIndices(trace);
@@ -111,13 +111,8 @@ minMissesSetAssoc(const std::vector<Addr>& trace, uint32_t num_sets,
     // Bucket positions by set; per-set MIN is exact for set-assoc
     // caches because sets are independent.
     std::vector<std::vector<uint64_t>> by_set(num_sets);
-    for (uint64_t i = 0; i < trace.size(); ++i) {
-        uint64_t h = mix64(trace[i] ^ hash_seed);
-        const uint32_t set = (num_sets & (num_sets - 1)) == 0
-                                 ? static_cast<uint32_t>(h & (num_sets - 1))
-                                 : static_cast<uint32_t>(h % num_sets);
-        by_set[set].push_back(i);
-    }
+    for (uint64_t i = 0; i < trace.size(); ++i)
+        by_set[SetAssocCache::bitSelectSet(trace[i], num_sets)].push_back(i);
 
     uint64_t misses = 0;
     for (const auto& positions : by_set)

@@ -40,10 +40,10 @@ std::vector<uint64_t> minMissCurve(const std::vector<Addr>& trace,
 
 /**
  * Misses of a set-associative MIN cache: per-set optimal replacement,
- * with hashed set indexing matching SetAssocCache's default.
+ * with SetAssocCache's default (bit-selected) set index.
  */
 uint64_t minMissesSetAssoc(const std::vector<Addr>& trace, uint32_t num_sets,
-                           uint32_t num_ways, uint64_t hash_seed = 0xC0FFEE);
+                           uint32_t num_ways);
 
 } // namespace talus
 

@@ -37,9 +37,6 @@ class LruPolicy : public ReplPolicy
     uint32_t victim(const uint32_t* cands, uint32_t n) override;
     const char* name() const override { return "LRU"; }
 
-    /** LRU victim selection is the argmin of the ranks. */
-    const uint8_t* rankKeys() const override { return ranks_.data(); }
-
     /**
      * The LRU touch on one set's rank row: every rank above way
      * @p w's drops by one and @p w becomes MRU (ways - 1). onHit()

@@ -105,22 +105,22 @@ PinnedWorkers::dispatchAsync(const ShardTask* tasks, uint32_t count)
     std::fill(fed_.begin(), fed_.end(), 0u);
     for (uint32_t i = 0; i < count; ++i)
         ++fed_[ownerOf(tasks[i].shard)];
-    // Publish: the release store of a worker's share makes the slot,
-    // pending_, and the sub-batches the tasks point at visible to it.
+    // Publish: the store of a worker's share (seq_cst, so also a
+    // release) makes the slot, pending_, and the sub-batches the tasks
+    // point at visible to it.
     for (uint32_t w = 0; w < workers_.size(); ++w)
         if (fed_[w] != 0)
-            workers_[w]->assigned.store(fed_[w],
-                                        std::memory_order_release);
+            workers_[w]->assigned.store(fed_[w], std::memory_order_seq_cst);
 
-    // Wake only workers that both got work and actually parked. The
-    // seq_cst fence pairs with the one in workerLoop(): either we see
-    // parked == true here (and notify under the mutex), or the worker
-    // sees its share in its post-flag recheck — a dispatch can never
-    // slip between its last look and its sleep.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
+    // Wake only workers that both got work and actually parked. Our
+    // share store and parked load, and the worker's parked store and
+    // share recheck in workerLoop(), are all seq_cst, so they fall in
+    // one total order: either we see parked == true here (and notify
+    // under the mutex), or the worker sees its share in its recheck —
+    // a dispatch can never slip between its last look and its sleep.
     for (uint32_t w = 0; w < workers_.size(); ++w) {
         if (fed_[w] != 0 &&
-            workers_[w]->parked.load(std::memory_order_relaxed)) {
+            workers_[w]->parked.load(std::memory_order_seq_cst)) {
             {
                 std::lock_guard<std::mutex> lock(workers_[w]->mu);
                 workers_[w]->cv.notify_one();
@@ -145,16 +145,16 @@ PinnedWorkers::wait()
          ++idle)
         cpuRelax();
     if (pending_.load(std::memory_order_acquire) != 0) {
-        // Park: flag, fence, recheck — the mirror of the worker's
-        // parking protocol, paired with the fence after the last
-        // fetch_sub in workerLoop(), so the final decrement can never
-        // slip past both our recheck and its notify.
-        callerParked_.store(true, std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
+        // Park: flag, then recheck — the mirror of the worker's
+        // parking protocol. The flag store and the recheck are seq_cst,
+        // as are the last fetch_sub in workerLoop() and its flag load,
+        // so the final decrement can never slip past both our recheck
+        // and its notify.
+        callerParked_.store(true, std::memory_order_seq_cst);
         {
             std::unique_lock<std::mutex> lock(doneMu_);
             doneCv_.wait(lock, [this] {
-                return pending_.load(std::memory_order_acquire) == 0;
+                return pending_.load(std::memory_order_seq_cst) == 0;
             });
         }
         callerParked_.store(false, std::memory_order_relaxed);
@@ -182,12 +182,12 @@ PinnedWorkers::workerLoop(uint32_t self)
                     continue;
                 exec_(*t);
                 --mine;
-                if (pending_.fetch_sub(1, std::memory_order_release) ==
+                if (pending_.fetch_sub(1, std::memory_order_seq_cst) ==
                     1) {
                     // Last task of the dispatch: wake the caller if it
-                    // parked (fence pairs with the one in wait()).
-                    std::atomic_thread_fence(std::memory_order_seq_cst);
-                    if (callerParked_.load(std::memory_order_relaxed)) {
+                    // parked (seq_cst pairs with the flag store and
+                    // recheck in wait()).
+                    if (callerParked_.load(std::memory_order_seq_cst)) {
                         std::lock_guard<std::mutex> lock(doneMu_);
                         doneCv_.notify_one();
                     }
@@ -203,13 +203,12 @@ PinnedWorkers::workerLoop(uint32_t self)
         } else if (idle < kSpinPolls + kYieldPolls) {
             std::this_thread::yield();
         } else {
-            // Park. Flag first, fence, then one last look at our
-            // share: the caller's fence-then-flag-read (dispatchAsync())
-            // guarantees that if it skipped the notify, our recheck
+            // Park. Flag first, then one last look at our share, both
+            // seq_cst like the caller's share store and flag read
+            // (dispatchAsync()): if it skipped the notify, our recheck
             // sees its store.
-            w.parked.store(true, std::memory_order_relaxed);
-            std::atomic_thread_fence(std::memory_order_seq_cst);
-            if (w.assigned.load(std::memory_order_relaxed) == 0 &&
+            w.parked.store(true, std::memory_order_seq_cst);
+            if (w.assigned.load(std::memory_order_seq_cst) == 0 &&
                 !stop_.load(std::memory_order_acquire)) {
                 if (w.parks != nullptr)
                     w.parks->inc();

@@ -20,7 +20,7 @@
  *  - A dispatch is published once: the caller stores the task array
  *    in one slot, sets an atomic pending-task counter, and tells each
  *    worker that owns a task how many of the slot's tasks are its own
- *    (one release store per fed worker). The worker runs exactly
+ *    (one seq_cst store per fed worker). The worker runs exactly
  *    those, in array order, and stops reading the slot after its
  *    last one. No mutex on the submit path, and no queue: wait()
  *    drains a dispatch before the next may be published.
@@ -174,8 +174,8 @@ class PinnedWorkers
          *  the caller, cleared by the worker when it takes them. */
         std::atomic<uint32_t> assigned{0};
         /** True while the worker sleeps on cv (set before its final
-         *  recheck of assigned; see the fences in workerLoop() and
-         *  dispatchAsync()). */
+         *  recheck of assigned; see the seq_cst handshake in
+         *  workerLoop() and dispatchAsync()). */
         std::atomic<bool> parked{false};
         // Metric handles (null when metrics are off): parks is bumped
         // by the worker thread, wakes by the caller.

@@ -73,7 +73,6 @@ sweepPolicyCurve(AccessStream& stream, const std::vector<uint64_t>& sizes,
         cfg.numWays = ways;
         cfg.numSets = static_cast<uint32_t>(std::max<uint64_t>(
             1, size / ways));
-        cfg.hashSeed = opts.seed ^ 0x11;
         SetAssocCache cache(cfg, makePolicy(opts.policyName, opts.seed));
 
         const double ratio = measureMissRatio(

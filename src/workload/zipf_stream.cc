@@ -66,8 +66,9 @@ ZipfStream::ZipfStream(uint64_t num_lines, double alpha, uint32_t addr_space,
       // Scramble ranks so popularity is not correlated with adjacency
       // (hot lines spread across sets). XOR with a per-stream constant
       // is an exact bijection for power-of-two working sets; otherwise
-      // the identity is used — the cache's hashed set indexing already
-      // decorrelates placement.
+      // the identity is used, so ranks map to consecutive addresses
+      // and the cache's bit-selected set index spreads them round-robin
+      // over the sets.
       scramble_((num_lines & (num_lines - 1)) == 0
                     ? mix64(seed) & (num_lines - 1)
                     : 0),

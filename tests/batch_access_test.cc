@@ -177,15 +177,14 @@ TEST(BatchAccess, FingerprintProbeMatchesFullTagProbeInLockstep)
     cfg.seed = 13;
     TalusCache fp_path(cfg); // access(): fingerprint probe.
 
-    // The generic twin of fp_path's physical cache: the geometry,
-    // set-index seed and shadow targets makePartitionedCache and the
+    // The generic twin of fp_path's physical cache: the geometry
+    // and shadow targets makePartitionedCache and the
     // controller gave it, driven through the full-tag probe with the
     // same alpha/beta routing.
     const PartitionedCacheBase& phys = fp_path.controller()->cache();
     SetAssocCache::Config gc;
     gc.numWays = cfg.ways;
     gc.numSets = static_cast<uint32_t>(cfg.llcLines / cfg.ways);
-    gc.hashSeed = cfg.seed ^ 0x5E7;
     SetAssocCache full_path(gc, std::make_unique<LruPolicy>(),
                             std::make_unique<VantageScheme>(2));
     full_path.setTargets({phys.targetOf(0), phys.targetOf(1)});

@@ -15,12 +15,11 @@ namespace talus {
 namespace {
 
 SetAssocCache::Config
-smallConfig(uint32_t sets, uint32_t ways, bool hashed = false)
+smallConfig(uint32_t sets, uint32_t ways)
 {
     SetAssocCache::Config cfg;
     cfg.numSets = sets;
     cfg.numWays = ways;
-    cfg.hashSetIndex = hashed;
     return cfg;
 }
 
@@ -104,24 +103,9 @@ TEST(SetAssocCache, InvalidateAllEmptiesCache)
         EXPECT_EQ(cache.probe(a), -1);
 }
 
-TEST(SetAssocCache, HashedIndexSpreadsScans)
-{
-    // With hashing, a sequential scan should touch all sets about
-    // evenly rather than walking them in order.
-    SetAssocCache cache(smallConfig(16, 1, true),
-                        std::make_unique<LruPolicy>());
-    std::vector<int> seen(16, 0);
-    for (Addr a = 0; a < 16000; ++a)
-        seen[cache.defaultSetIndex(a)]++;
-    for (int c : seen) {
-        EXPECT_GT(c, 700);
-        EXPECT_LT(c, 1300);
-    }
-}
-
 TEST(SetAssocCache, NonPowerOfTwoSets)
 {
-    SetAssocCache cache(smallConfig(12, 2, true),
+    SetAssocCache cache(smallConfig(12, 2),
                         std::make_unique<LruPolicy>());
     for (Addr a = 0; a < 100; ++a)
         EXPECT_LT(cache.defaultSetIndex(a), 12u);

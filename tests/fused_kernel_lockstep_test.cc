@@ -43,7 +43,6 @@ struct Geometry
 {
     uint32_t ways;
     uint32_t sets;
-    bool hashed;
     uint32_t parts;
 };
 
@@ -250,8 +249,6 @@ class Lockstep
         SetAssocCache::Config c;
         c.numWays = g.ways;
         c.numSets = g.sets;
-        c.hashSetIndex = g.hashed;
-        c.hashSeed = 0x5EED ^ g.ways;
         return c;
     }
 
@@ -302,8 +299,7 @@ runLockstep(const Geometry& g, uint64_t seed, bool fused = true,
             bool mutate = false)
 {
     SCOPED_TRACE(testing::Message()
-                 << "ways " << g.ways << ", sets " << g.sets
-                 << (g.hashed ? ", hashed" : ", bit-selected") << ", "
+                 << "ways " << g.ways << ", sets " << g.sets << ", "
                  << g.parts << " partitions");
     Lockstep ls(g);
     ASSERT_EQ(ls.fusedActive(), fused);
@@ -356,76 +352,76 @@ runLockstep(const Geometry& g, uint64_t seed, bool fused = true,
 
 TEST(FusedKernelLockstep, FourWaysBitSelectedNonPowerOfTwoSets)
 {
-    runLockstep({4, 37, false, 2}, 101);
+    runLockstep({4, 37, 2}, 101);
 }
 
 TEST(FusedKernelLockstep, TwelveWaysScalarRows)
 {
     // Not a multiple of 16: the scalar row loops, on unaligned rows.
-    runLockstep({12, 40, true, 3}, 137);
-    runLockstep({12, 32, false, 4}, 139);
+    runLockstep({12, 40, 3}, 137);
+    runLockstep({12, 32, 4}, 139);
 }
 
-TEST(FusedKernelLockstep, SixteenWaysHashed)
+TEST(FusedKernelLockstep, SixteenWaysOneChunk)
 {
     // One vector chunk per row.
-    runLockstep({16, 64, true, 4}, 103);
+    runLockstep({16, 64, 4}, 103);
 }
 
 TEST(FusedKernelLockstep, SixteenWaysBitSelected)
 {
     // The serving geometry: power-of-two sets, bit-selected index.
-    runLockstep({16, 128, false, 8}, 107);
-    runLockstep({16, 50, false, 6}, 131);
+    runLockstep({16, 128, 8}, 107);
+    runLockstep({16, 50, 6}, 131);
 }
 
-TEST(FusedKernelLockstep, ThirtyTwoWaysHashedNonPowerOfTwoSets)
+TEST(FusedKernelLockstep, ThirtyTwoWaysNonPowerOfTwoSets)
 {
     // Table I's associativity: two vector chunks per row.
-    runLockstep({32, 24, true, 3}, 109);
-    runLockstep({32, 32, false, 4}, 149);
+    runLockstep({32, 24, 3}, 109);
+    runLockstep({32, 32, 4}, 149);
 }
 
 TEST(FusedKernelLockstep, FortyEightWaysThreeChunks)
 {
     // Three chunks: a 48-byte rank row that can straddle a line.
-    runLockstep({48, 16, true, 4}, 151);
+    runLockstep({48, 16, 4}, 151);
 }
 
 TEST(FusedKernelLockstep, SixtyFourWaysFullMask)
 {
     // 64 ways: the way-span mask is all ones.
-    runLockstep({64, 12, true, 5}, 113);
-    runLockstep({64, 9, false, 2}, 127);
+    runLockstep({64, 12, 5}, 113);
+    runLockstep({64, 9, 2}, 127);
 }
 
 TEST(FusedKernelLockstep, SixteenWaysFortyPartitions)
 {
     // More partitions than ways: most sets hold only a few of them.
-    runLockstep({16, 64, true, 40}, 157);
+    runLockstep({16, 64, 40}, 157);
 }
 
 TEST(FusedKernelLockstep, OwnerByteCeiling)
 {
     // 254 partitions: the last id, 253, sits just below the owner
     // row's unmanaged and invalid bytes.
-    runLockstep({16, 128, false, 254}, 163);
+    runLockstep({16, 128, 254}, 163);
 }
 
 TEST(FusedKernelLockstep, PastOwnerByteCeilingServesGeneric)
 {
     // 255 partitions do not fit an owner byte: the generic path serves
     // and must still match the oracle.
-    runLockstep({16, 128, false, 255}, 167, false);
+    runLockstep({16, 128, 255}, 167, false);
 }
 
 TEST(FusedKernelLockstep, RebuildsAfterGenericMutation)
 {
     // Invalidations and generic accesses between blocks: each next
     // block starts with a rebuild of the owner rows and fingerprints.
-    runLockstep({16, 50, false, 6}, 173, true, true);
-    runLockstep({12, 40, true, 3}, 179, true, true);
-    runLockstep({32, 24, true, 4}, 181, true, true);
+    runLockstep({16, 50, 6}, 173, true, true);
+    runLockstep({12, 40, 3}, 179, true, true);
+    runLockstep({32, 24, 4}, 181, true, true);
 }
 
 } // namespace

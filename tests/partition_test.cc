@@ -264,6 +264,41 @@ TEST(Vantage, PromotionRecoversUnmanagedLines)
     EXPECT_EQ(v->occupancy(0), cache.countLines(0));
 }
 
+/** LRU bookkeeping with an MRU victim rule: what a derived policy
+ *  that overrides only victim() looks like. */
+class MruVictimLru : public LruPolicy
+{
+  public:
+    uint32_t victim(const uint32_t* cands, uint32_t n) override
+    {
+        uint32_t best = cands[0];
+        for (uint32_t i = 1; i < n; ++i) {
+            if (rank(cands[i]) > rank(best))
+                best = cands[i];
+        }
+        return best;
+    }
+};
+
+TEST(Vantage, EvictsThePolicysVictim)
+{
+    // One 4-way set, target 4: the fills never push the partition
+    // over target, so nothing is demoted and the miss must evict
+    // whatever the policy's victim() picks, here the MRU line (4).
+    SetAssocCache::Config cfg;
+    cfg.numSets = 1;
+    cfg.numWays = 4;
+    SetAssocCache cache(cfg, std::make_unique<MruVictimLru>(),
+                        std::make_unique<VantageScheme>(1));
+    cache.setTargets({4});
+    for (Addr a = 1; a <= 4; ++a)
+        cache.access(a, 0);
+    EXPECT_FALSE(cache.access(5, 0));
+    EXPECT_LT(cache.probe(4, 0), 0) << "MRU line survived";
+    for (Addr a : {1, 2, 3, 5})
+        EXPECT_GE(cache.probe(a, 0), 0) << "line " << a << " evicted";
+}
+
 /** The double-divide order VantageScheme used before
  *  moreOverTarget(): occ / target, a zero target scored 1e18, and the
  *  earlier first way winning ties. */

@@ -100,8 +100,9 @@ TEST(Belady, SetAssocAtLeastFullyAssoc)
     EXPECT_GE(sa, fa);
 }
 
-// MIN lower-bounds every online policy at equal capacity. This is the
-// strongest cross-validation of both the policies and MIN itself.
+// MIN lower-bounds every online policy at equal capacity and
+// geometry. This is the strongest cross-validation of both the
+// policies and MIN itself.
 class MinLowerBoundTest : public ::testing::TestWithParam<std::string>
 {
 };
@@ -109,6 +110,7 @@ class MinLowerBoundTest : public ::testing::TestWithParam<std::string>
 TEST_P(MinLowerBoundTest, PolicyNeverBeatsMin)
 {
     const uint32_t sets = 16, ways = 8;
+    const uint64_t lines = static_cast<uint64_t>(sets) * ways;
     // Mixed trace: scan + hot set + random tail.
     std::vector<Addr> trace;
     Rng rng(11);
@@ -119,19 +121,27 @@ TEST_P(MinLowerBoundTest, PolicyNeverBeatsMin)
           default: trace.push_back(2000 + rng.below(600)); break;
         }
     }
+    // Exact-fit cyclic scan: bit selection gives each set exactly its
+    // ways' worth of lines, so every policy takes only the cold
+    // misses, and set-associative MIN must index the same way to stay
+    // below it.
+    std::vector<Addr> scan = test::scanTrace(lines * 50, lines);
 
-    SetAssocCache::Config cfg;
-    cfg.numSets = sets;
-    cfg.numWays = ways;
-    SetAssocCache cache(cfg, makePolicy(GetParam(), 5));
-    for (Addr a : trace)
-        cache.access(a);
+    for (const std::vector<Addr>* input : {&trace, &scan}) {
+        SCOPED_TRACE(input == &scan ? "exact-fit scan" : "mixed trace");
+        SetAssocCache::Config cfg;
+        cfg.numSets = sets;
+        cfg.numWays = ways;
+        SetAssocCache cache(cfg, makePolicy(GetParam(), 5));
+        for (Addr a : *input)
+            cache.access(a);
 
-    // Note: PDP may bypass, which still counts as a miss.
-    const uint64_t policy_misses = cache.stats().totalMisses();
-    const uint64_t min_misses_fa =
-        minMisses(trace, static_cast<uint64_t>(sets) * ways);
-    EXPECT_GE(policy_misses, min_misses_fa) << GetParam();
+        // Note: PDP may bypass, which still counts as a miss.
+        const uint64_t policy_misses = cache.stats().totalMisses();
+        EXPECT_GE(policy_misses, minMisses(*input, lines)) << GetParam();
+        EXPECT_GE(policy_misses, minMissesSetAssoc(*input, sets, ways))
+            << GetParam();
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, MinLowerBoundTest,

@@ -30,7 +30,6 @@ oneSet(uint32_t ways)
     SetAssocCache::Config cfg;
     cfg.numSets = 1;
     cfg.numWays = ways;
-    cfg.hashSetIndex = false;
     return cfg;
 }
 

@@ -21,7 +21,6 @@ plainConfig(uint32_t sets, uint32_t ways)
     SetAssocCache::Config cfg;
     cfg.numSets = sets;
     cfg.numWays = ways;
-    cfg.hashSetIndex = false;
     return cfg;
 }
 
